@@ -103,16 +103,16 @@
 //
 // # Parallel enumeration
 //
-// Options.Workers > 1 (or UseAllCores) distributes the independent
-// top-level branches of the ordered frameworks over worker goroutines.
-// Scheduling is dynamic: an atomic work queue hands out chunks of branches
-// with guided sizing — large chunks while every worker is busy, single
-// branches toward the skewed tail of the truss/degeneracy order — so
-// stragglers cannot pin the run to one slow worker the way static striding
-// does. Every ordered algorithm parallelises, including HBBMC at any
-// SwitchDepth; only the whole-graph BK/BKPivot fall back to the sequential
-// driver, and Stats.Workers / Stats.ParallelFallback record what actually
-// ran.
+// Every query type runs through one top-level driver: workers claim
+// top-level branch positions from an atomic work queue and run the query's
+// per-branch kernel on each. With one worker (the default) the driver runs
+// on the caller's goroutine; Options.Workers > 1 (or UseAllCores) runs it
+// on that many goroutines, which share the branches in descending
+// estimated-cost order — single branches at the expensive head, growing
+// chunks toward the cheap tail — so stragglers cannot pin the run to one
+// slow worker. Every ordered algorithm parallelises, including HBBMC at
+// any SwitchDepth; only the whole-graph BK/BKPivot run on one worker, and
+// Stats.Workers / Stats.ParallelFallback record what actually ran.
 //
 // The delivery contract under parallelism: the Visitor is never invoked
 // concurrently, but it runs on internal worker goroutines rather than the
@@ -120,8 +120,9 @@
 // runtime.Goexit, testing.T.Fatalf — do not reach across), cliques arrive
 // in nondeterministic order, and they are delivered in per-worker batches
 // (Options.EmitBatchSize, default 256), so a clique may be reported
-// slightly after its discovery. As in the sequential driver, the slice
-// passed to the Visitor is reused — copy it to retain it.
+// slightly after its discovery. QueryOptions.OrderedEmit trades that for
+// delivery in schedule order. As with one worker, the slice passed to the
+// Visitor is reused — copy it to retain it.
 //
 // # Performance architecture
 //
@@ -155,11 +156,9 @@
 // Stats.UniverseTime (universe install + adjacency row building),
 // Stats.PivotTime (pivot/degree scans), Stats.ETTime (early-termination
 // checks and plex construction) and Stats.EmitTime (clique delivery); the
-// mce command prints the breakdown under -phases. The contribution of the
-// fused path itself is measurable in-repo: `go test ./internal/core -bench
-// AblationUnfusedKernels` runs every framework fused and unfused back to
-// back, and `go test ./internal/bitset -bench BenchmarkKernel` compares the
-// kernels against their composed forms.
+// mce command prints the breakdown under -phases. `go test
+// ./internal/bitset -bench BenchmarkKernel` compares the fused kernels
+// against their composed forms.
 //
 // # Input formats and the binary snapshot cache
 //

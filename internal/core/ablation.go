@@ -18,18 +18,8 @@ var (
 	// ablateXDomination disables the exclusion-dominator subtree prune in
 	// the pivot recursion.
 	ablateXDomination bool
-	// ablateStaticStride reverts EnumerateParallel to the legacy static
-	// modulo striding with one emit-lock round-trip per clique, the
-	// baseline the dynamic scheduler and batched emit are measured against.
-	ablateStaticStride bool
-	// ablateUnfusedKernels reverts the hot recursion scans to their
-	// composed, per-bit forms: First/NextAfter iteration instead of the
-	// word iterator, separate intersect-then-count passes instead of the
-	// fused kernels, and BK_Rcd's full per-step degree rescan instead of
-	// incremental count maintenance.
-	ablateUnfusedKernels bool
 	// ablateCostOrder disables the descending-cost ordering of top-level
-	// branches in the parallel scheduler, reverting to raw edge/vertex
+	// branches in the driver's schedule, reverting to raw edge/vertex
 	// ordering positions.
 	ablateCostOrder bool
 )

@@ -7,8 +7,6 @@ package core
 // (pure-paper) code paths.
 
 import (
-	"fmt"
-	"runtime"
 	"testing"
 
 	"github.com/graphmining/hbbmc/internal/gen"
@@ -48,88 +46,6 @@ func BenchmarkAblationNoTinyBranch(b *testing.B)     { runAblation(b, &ablateTin
 func BenchmarkAblationNoMaskFreeCheck(b *testing.B)  { runAblation(b, &ablateMaskFree) }
 func BenchmarkAblationNoMaskDropping(b *testing.B)   { runAblation(b, &ablateMaskDrop) }
 func BenchmarkAblationNoXDominationCut(b *testing.B) { runAblation(b, &ablateXDomination) }
-
-// BenchmarkAblationUnfusedKernels reverts the hot recursion scans to their
-// per-bit, composed two-pass forms (and BK_Rcd to full per-step degree
-// rescans). Each framework runs fused and unfused back to back: the
-// hybrid's branches are universe-setup-bound, so the gap is a few percent;
-// the vertex-oriented recursions live in their pivot scans, where the fused
-// word-parallel path is worth ~25%.
-func BenchmarkAblationUnfusedKernels(b *testing.B) {
-	g := ablationGraph()
-	for _, cfg := range []struct {
-		name string
-		opts Options
-	}{
-		{"HBBMCpp", Defaults()},
-		{"RDegen", Options{Algorithm: BKDegen, GR: true}},
-		{"RRcd", Options{Algorithm: BKRcd, GR: true}},
-	} {
-		want, _, err := Count(g, cfg.opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		run := func(b *testing.B, unfused bool) {
-			if unfused {
-				ablateUnfusedKernels = true
-				defer func() { ablateUnfusedKernels = false }()
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				got, _, err := Count(g, cfg.opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if got != want {
-					b.Fatalf("unfused=%v found %d cliques, want %d", unfused, got, want)
-				}
-			}
-		}
-		b.Run(cfg.name+"/fused", func(b *testing.B) { run(b, false) })
-		b.Run(cfg.name+"/unfused", func(b *testing.B) { run(b, true) })
-	}
-}
-
-// runParallelAblation measures EnumerateParallel end to end — emit
-// callback included, so lock traffic counts — on a skewed hub-heavy graph
-// where static striding suffers its worst load imbalance.
-func runParallelAblation(b *testing.B, static bool, workers int) {
-	if old := runtime.GOMAXPROCS(0); old < workers {
-		runtime.GOMAXPROCS(workers)
-		defer runtime.GOMAXPROCS(old)
-	}
-	g := gen.BA(30000, 24, 99)
-	opts := Options{Algorithm: HBBMC, ET: 3, GR: true}
-	want, _, err := Count(g, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if static {
-		ablateStaticStride = true
-		defer func() { ablateStaticStride = false }()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var got int64
-		stats, err := EnumerateParallel(g, opts, workers, func([]int32) { got++ })
-		if err != nil {
-			b.Fatal(err)
-		}
-		if got != want || stats.Cliques != want {
-			b.Fatalf("found %d cliques (stats %d), want %d", got, stats.Cliques, want)
-		}
-	}
-}
-
-// BenchmarkParallelScheduler compares the dynamic work queue plus batched
-// emit ("dynamic") against the seed's static modulo striding with a
-// per-clique emit lock ("staticstride").
-func BenchmarkParallelScheduler(b *testing.B) {
-	for _, workers := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("dynamic/w%d", workers), func(b *testing.B) { runParallelAblation(b, false, workers) })
-		b.Run(fmt.Sprintf("staticstride/w%d", workers), func(b *testing.B) { runParallelAblation(b, true, workers) })
-	}
-}
 
 // TestAblatedPathsStillCorrect runs the cross-validation grid with every
 // optimisation disabled — the closest configuration to the paper's plain

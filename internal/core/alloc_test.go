@@ -44,9 +44,14 @@ func TestRecursionAllocFree(t *testing.T) {
 			run := func() {
 				switch tc.opts.Algorithm {
 				case EBBMC, HBBMC:
-					e.runEdgeOrdered()
+					for _, eid := range s.eo.Order {
+						e.runEdgeBranch(eid)
+					}
+					e.runIsolatedVertices()
 				default:
-					e.runVertexOrdered(s.vertOrd, s.vertPos)
+					for p := range s.vertOrd {
+						e.runVertexBranch(s.vertOrd, s.vertPos, p)
+					}
 				}
 			}
 			run() // warm: grow every buffer to its high-water mark

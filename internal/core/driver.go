@@ -91,28 +91,56 @@ func (e *engine) runWholeGraph() {
 	e.vertexRec(nil, C, X)
 }
 
-// runVertexOrdered performs the ordered top-level split (Eq. 1 with the
-// given ordering): each vertex v branches with C = later neighbors and
-// X = earlier neighbors, the universe being N(v).
-func (e *engine) runVertexOrdered(ord, pos []int32) {
-	e.runVertexOrderedRange(ord, pos, 0, len(ord), 1)
+// runVertexBranch evaluates the vertex-ordered top-level branch at
+// ordering position p (Eq. 1): v = ord[p] branches with C = its
+// later-ordered neighbors and X = its earlier ones, the universe being N(v).
+//
+// The universe is laid out candidates-first, mirroring the edge-oriented
+// top level: exclusion members only need adjacency rows of their own to
+// compete as Tomita pivots, so their rows — the dominant share of the build
+// cost around hubs, whose earlier-neighbor side is unbounded by δ — are
+// built only when the branch is recursion-heavy enough for pivot quality
+// to pay for them.
+//
+//hbbmc:noalloc
+func (e *engine) runVertexBranch(ord, pos []int32, p int) {
+	v := ord[p]
+	nbrs := e.g.Neighbors(v)
+	pv := pos[v]
+	e.listBuf = e.listBuf[:0]
+	for _, w := range nbrs {
+		if pos[w] > pv {
+			e.listBuf = append(e.listBuf, w)
+		}
+	}
+	inC := len(e.listBuf)
+	for _, w := range nbrs {
+		if pos[w] <= pv {
+			e.listBuf = append(e.listBuf, w)
+		}
+	}
+	rowCount := inC
+	if withXRows(inC, len(nbrs)) {
+		rowCount = len(nbrs)
+	}
+	e.setUniverse(e.listBuf, -1, rowCount)
+	C := e.setArena.Get()
+	X := e.setArena.Get()
+	for j := 0; j < inC; j++ {
+		C.Set(j)
+	}
+	for j := inC; j < len(nbrs); j++ {
+		X.Set(j)
+	}
+	e.S = append(e.S[:0], v)
+	e.stats.TopBranches++
+	e.vertexRec(nil, C, X)
 }
 
-// runEdgeOrdered performs the edge-oriented top-level split of EBBMC/HBBMC
-// (Algorithms 3 and 4): one branch per edge in edge-order, candidates being
-// the common neighbors whose triangle edges both rank later. The branch
-// universes come from the precomputed triangle incidence, so no adjacency
-// merging happens here; tiny branches (at most two candidates, empty
-// exclusion side) are resolved inline without materialising a universe.
-func (e *engine) runEdgeOrdered() {
-	e.runEdgeOrderedRange(0, len(e.eo.Order), 1)
-	e.runIsolatedVertices()
-}
-
-// runIsolatedVertices closes the edge-oriented split: isolated vertices are
-// covered by no edge branch (Eq. 3 at the initial branch), so each is a
-// maximal 1-clique. The parallel driver runs it once after the workers
-// join; the sequential driver after the last edge branch.
+// runIsolatedVertices completes the edge-oriented split: isolated vertices
+// are covered by no edge branch (Eq. 3 at the initial branch), so each is a
+// maximal 1-clique. The driver runs it once per query as part of the
+// preprocessing residue, ahead of every edge branch.
 //
 //hbbmc:ctxpoll
 func (e *engine) runIsolatedVertices() {

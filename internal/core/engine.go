@@ -14,8 +14,7 @@ import (
 const innerPlain InnerAlgorithm = -1
 
 // neverSwitch is the switchDepth sentinel that keeps EBBMC's recursion
-// edge-oriented forever; it exceeds any reachable recursion depth. Both
-// drivers must use it so they cannot drift apart.
+// edge-oriented forever; it exceeds any reachable recursion depth.
 const neverSwitch = math.MaxInt32
 
 // engine holds the state of one enumeration run over the residual graph.
@@ -149,9 +148,9 @@ func (e *engine) setUniverse(vs []int32, baseRank int32, rowCount int) {
 	e.addUniverse(t0)
 }
 
-// withXRows is the shared break-even heuristic of the two top-level
-// drivers: exclusion members get adjacency rows of their own (restoring
-// full Tomita pivot quality over C ∪ X) only when the branch is
+// withXRows is the shared break-even heuristic of the vertex and edge
+// enumeration kernels: exclusion members get adjacency rows of their own
+// (restoring full Tomita pivot quality over C ∪ X) only when the branch is
 // recursion-heavy — enough candidates absolutely, and candidates not
 // dwarfed by the exclusion side whose rows would dominate the build cost.
 func withXRows(inC, universe int) bool {

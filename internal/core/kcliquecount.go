@@ -4,11 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"time"
 
 	"github.com/graphmining/hbbmc/internal/bitset"
-	"github.com/graphmining/hbbmc/internal/graph"
 	"github.com/graphmining/hbbmc/internal/order"
 	"github.com/graphmining/hbbmc/internal/reduce"
 )
@@ -148,23 +145,6 @@ func (e *engine) runEdgeKBranch(eid int32, k int) {
 	e.kcliqueRec(e.adjH, C, inC, k-2)
 }
 
-// kcBasis is the branch basis one CountKCliques query runs on: a graph, the
-// reduction result the engine is built with, and either a vertex ordering
-// or the session's edge order (edgeDriven).
-type kcBasis struct {
-	g          *kcGraph
-	edgeDriven bool
-	ord, pos   []int32
-	sched      []int32 // cost-ordered schedule positions, nil = raw order
-}
-
-// kcGraph bundles the graph and reduction an engine needs; split out so the
-// session-preprocessing path and the source-graph fallback share one shape.
-type kcGraph struct {
-	res *graph.Graph
-	red *reduce.Result
-}
-
 // ensureKCBasis lazily builds the source-graph fallback basis: a degeneracy
 // ordering of s.src plus an identity reduction, computed once and cached on
 // the session like the branch schedule is.
@@ -177,29 +157,20 @@ func (s *Session) ensureKCBasis() {
 	})
 }
 
-// kcBasisFor resolves which branch basis a CountKCliques query runs on.
-func (s *Session) kcBasisFor() kcBasis {
-	sessionUsable := s.red.NumRemoved == 0 &&
-		s.opts.Algorithm != BK && s.opts.Algorithm != BKPivot
-	if !sessionUsable {
+// kcPlan resolves the branch basis one CountKCliques query runs on: the
+// session's own branch space when its preprocessing counts k-cliques
+// exactly, otherwise the source-graph fallback basis, which has no cost
+// schedule.
+func (s *Session) kcPlan(k int) *branchPlan {
+	if s.red.NumRemoved > 0 || s.opts.Algorithm == BK || s.opts.Algorithm == BKPivot {
 		s.ensureKCBasis()
-		return kcBasis{
-			g:   &kcGraph{res: s.src, red: s.kcRed},
-			ord: s.kcOrd, pos: s.kcPos,
-		}
+		return &branchPlan{g: s.src, red: s.kcRed, n: len(s.kcOrd),
+			branch: func(e *engine, p int) { e.runVertexKBranch(s.kcOrd, s.kcPos, p, k) }}
 	}
-	if s.opts.Algorithm == EBBMC || s.opts.Algorithm == HBBMC {
-		return kcBasis{
-			g:          &kcGraph{res: s.res, red: s.red},
-			edgeDriven: true,
-			sched:      s.branchSchedule(),
-		}
-	}
-	return kcBasis{
-		g:   &kcGraph{res: s.res, red: s.red},
-		ord: s.vertOrd, pos: s.vertPos,
-		sched: s.branchSchedule(),
-	}
+	return s.sessionPlan(
+		func(e *engine, p int) { e.runEdgeKBranch(s.eo.Order[p], k) },
+		func(e *engine, p int) { e.runVertexKBranch(s.vertOrd, s.vertPos, p, k) },
+		nil)
 }
 
 // CountKCliques returns the number of k-vertex cliques of the session's
@@ -227,91 +198,16 @@ func (s *Session) CountKCliques(ctx context.Context, k int, q QueryOptions) (int
 		ctx = context.Background()
 	}
 	opts.MaxCliques = 0
-	rc := newRunControl(ctx, opts)
-
-	requested := opts.Workers
-	workers := resolveWorkers(requested)
-	stats := s.baseStats(workers)
-	enum := time.Now()
-
-	switch k {
-	case 1:
+	if k <= 2 {
+		// Vertices and edges: nothing to branch on.
+		stats := s.baseStats(1)
 		stats.KCliques = int64(s.src.NumVertices())
-		stats.Workers = 1
-		stats.EnumTime = time.Since(enum)
-		return stats.KCliques, stats, nil
-	case 2:
-		stats.KCliques = int64(s.src.NumEdges())
-		stats.Workers = 1
-		stats.EnumTime = time.Since(enum)
-		return stats.KCliques, stats, nil
-	}
-
-	basis := s.kcBasisFor()
-	items := len(basis.ord)
-	if basis.edgeDriven {
-		items = len(s.eo.Order)
-	}
-
-	if workers <= 1 {
-		stats.Workers = 1
-		e := newEngine(basis.g.res, basis.g.red, opts, stats, nil, rc)
-		e.eo, e.inc = s.eo, s.inc
-		s.runKCRange(rc, e, basis, 0, items, k)
-		if requested > 1 || requested == UseAllCores {
-			stats.ParallelFallback = "single worker"
+		if k == 2 {
+			stats.KCliques = int64(s.src.NumEdges())
 		}
-		stats.EnumTime = time.Since(enum)
-		return stats.KCliques, stats, rc.err()
+		return stats.KCliques, stats, nil
 	}
-
-	queue := newWorkQueueRange(0, items, workers, opts.ParallelChunkSize)
-	queue.rampUp = basis.sched != nil && opts.ParallelChunkSize <= 0
-	workerStats := make([]*Stats, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		ws := &Stats{}
-		workerStats[w] = ws
-		e := newEngine(basis.g.res, basis.g.red, opts, ws, nil, rc)
-		e.eo, e.inc = s.eo, s.inc
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !rc.halted() {
-				begin, end, ok := queue.next()
-				if !ok {
-					return
-				}
-				s.runKCRange(rc, e, basis, begin, end, k)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, ws := range workerStats {
-		stats.merge(ws)
-	}
-	stats.EnumTime = time.Since(enum)
+	rc := newRunControl(ctx, opts)
+	stats := s.drive(rc, opts, s.kcPlan(k))
 	return stats.KCliques, stats, rc.err()
-}
-
-// runKCRange executes the branch positions [begin, end) of one
-// CountKCliques query (schedule positions when the basis carries a cost
-// schedule, raw ordering positions otherwise).
-//
-//hbbmc:ctxpoll
-func (s *Session) runKCRange(rc *runControl, e *engine, basis kcBasis, begin, end, k int) {
-	for i := begin; i < end; i++ {
-		if rc.halted() {
-			return
-		}
-		p := i
-		if basis.sched != nil {
-			p = int(basis.sched[i])
-		}
-		if basis.edgeDriven {
-			e.runEdgeKBranch(s.eo.Order[p], k)
-		} else {
-			e.runVertexKBranch(basis.ord, basis.pos, p, k)
-		}
-	}
 }

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/graphmining/hbbmc/internal/bitset"
 	"github.com/graphmining/hbbmc/internal/graph"
@@ -164,7 +163,7 @@ func (e *engine) maxCliqueRec(adj []bitset.Set, C bitset.Set, cSize int, mc *mcS
 // max-clique query: S = {v}, candidates the later-ordered neighbors of v.
 // Every maximal clique — the maximum one included — is reachable from the
 // branch of its earliest-ordered vertex, so coverage is exact. Unlike the
-// enumeration driver no exclusion side is materialised, and a branch whose
+// enumeration kernel no exclusion side is materialised, and a branch whose
 // whole candidate set cannot beat the incumbent is skipped before any
 // universe is installed.
 //
@@ -320,8 +319,8 @@ func greedyClique(g *graph.Graph) []int32 {
 }
 
 // MaxClique solves the exact maximum-clique problem on the session's graph:
-// branch and bound over the session's cost-ordered top-level branches with
-// a greedy-coloring upper bound per node and an incumbent seeded by the
+// branch and bound over the session's top-level branches with a
+// greedy-coloring upper bound per node and an incumbent seeded by the
 // reduction cliques plus a greedy heuristic clique. With opts.Workers > 1
 // the branches run on worker goroutines sharing the incumbent bound
 // atomically, so one worker's improvement prunes every other worker's
@@ -372,109 +371,18 @@ func (s *Session) MaxClique(ctx context.Context, q QueryOptions) ([]int32, *Stat
 		}
 	}
 
-	requested := opts.Workers
-	workers := resolveWorkers(requested)
-	var stats *Stats
-	if workers <= 1 || sequentialFallback(opts, workers) != "" {
-		stats = s.runMaxCliqueSeq(rc, opts, mc)
-		if fb := sequentialFallback(opts, workers); fb != "" && workers > 1 {
-			stats.ParallelFallback = fb
-		} else if requested > 1 || requested == UseAllCores {
-			stats.ParallelFallback = "single worker"
-		}
-	} else {
-		stats = s.runMaxCliquePar(rc, opts, workers, mc)
-	}
+	// The driver's lone worker iterates the raw ordering; several workers
+	// share the cost-ordered schedule, which doubles as a bound-tightening
+	// one — the big branches that establish ω run before the cheap tail
+	// that then prunes against it.
+	plan := s.sessionPlan(
+		func(e *engine, p int) { e.runEdgeMaxBranch(s.eo.Order[p], mc) },
+		func(e *engine, p int) { e.runVertexMaxBranch(s.vertOrd, s.vertPos, p, mc) },
+		func(e *engine) { e.runWholeMaxBranch(mc) })
+	stats := s.drive(rc, opts, plan)
 	stats.IncumbentUpdates += int64(seeds)
 	if best := int(mc.best.Load()); best > stats.MaxCliqueSize {
 		stats.MaxCliqueSize = best
 	}
 	return mc.snapshot(), stats, rc.err()
-}
-
-// runMaxCliqueSeq executes the branch-and-bound on a single goroutine.
-//
-//hbbmc:ctxpoll
-func (s *Session) runMaxCliqueSeq(rc *runControl, opts Options, mc *mcShared) *Stats {
-	stats := s.baseStats(1)
-	enum := time.Now()
-	e := newEngine(s.res, s.red, opts, stats, nil, rc)
-	e.eo, e.inc = s.eo, s.inc
-	switch opts.Algorithm {
-	case BK, BKPivot:
-		if !rc.halted() {
-			e.runWholeMaxBranch(mc)
-		}
-	case EBBMC, HBBMC:
-		for _, eid := range s.eo.Order {
-			if rc.halted() {
-				break
-			}
-			e.runEdgeMaxBranch(eid, mc)
-		}
-	default:
-		for p := range s.vertOrd {
-			if rc.halted() {
-				break
-			}
-			e.runVertexMaxBranch(s.vertOrd, s.vertPos, p, mc)
-		}
-	}
-	stats.EnumTime = time.Since(enum)
-	return stats
-}
-
-// runMaxCliquePar distributes the top-level branches over workers through
-// the same cost-ordered dynamic queue the parallel enumerator uses; the
-// shared incumbent is the only cross-worker state, so the LPT-style
-// schedule (expensive branches first) doubles as a bound-tightening
-// schedule — the big branches that establish ω run before the cheap tail
-// that then prunes against it.
-func (s *Session) runMaxCliquePar(rc *runControl, opts Options, workers int, mc *mcShared) *Stats {
-	stats := s.baseStats(workers)
-	enum := time.Now()
-	edgeDriven := opts.Algorithm == EBBMC || opts.Algorithm == HBBMC
-	items := len(s.vertOrd)
-	if edgeDriven {
-		items = len(s.eo.Order)
-	}
-	sched := s.branchSchedule()
-	queue := newWorkQueueRange(0, items, workers, opts.ParallelChunkSize)
-	queue.rampUp = sched != nil && opts.ParallelChunkSize <= 0
-
-	workerStats := make([]*Stats, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		ws := &Stats{}
-		workerStats[w] = ws
-		e := newEngine(s.res, s.red, opts, ws, nil, rc)
-		e.eo, e.inc = s.eo, s.inc
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !rc.halted() {
-				begin, end, ok := queue.next()
-				if !ok {
-					return
-				}
-				for i := begin; i < end; i++ {
-					p := i
-					if sched != nil {
-						p = int(sched[i])
-					}
-					if edgeDriven {
-						e.runEdgeMaxBranch(s.eo.Order[p], mc)
-					} else {
-						e.runVertexMaxBranch(s.vertOrd, s.vertPos, p, mc)
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, ws := range workerStats {
-		stats.merge(ws)
-	}
-	stats.EnumTime = time.Since(enum)
-	return stats
 }

@@ -244,10 +244,10 @@ type Options struct {
 	// whose branch universe is the entire vertex set; 0 = default 20000.
 	MaxWholeGraphVertices int
 
-	// Workers selects the enumeration driver for Session queries: 0 or 1
-	// runs the sequential driver, n > 1 distributes the top-level branches
-	// over up to n goroutines (clamped to GOMAXPROCS), and UseAllCores (-1)
-	// uses one worker per core. The deprecated EnumerateParallel treats its
+	// Workers sets how many workers share a Session query's top-level
+	// branches: 0 or 1 runs the query on the caller's goroutine, n > 1 on
+	// up to n goroutines (clamped to GOMAXPROCS), and UseAllCores (-1) on
+	// one worker per core. The deprecated EnumerateParallel treats its
 	// positional workers argument as an override of this field (a ≤ 0
 	// argument there falls back to this field, then to all cores); the
 	// deprecated sequential Enumerate ignores it.

@@ -5,7 +5,7 @@ import (
 	"sync/atomic"
 )
 
-// This file implements ordered emission for the parallel driver: workers
+// This file implements ordered emission for multi-worker runs: workers
 // buffer each work-queue chunk's cliques locally and a sequencer releases
 // the buffers to the user visitor in ascending schedule-position order.
 // The point is a resumable stream — everything the visitor saw before the

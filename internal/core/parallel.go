@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"github.com/graphmining/hbbmc/internal/graph"
 )
@@ -27,8 +26,8 @@ import (
 //
 // All ordered algorithms parallelise, including HBBMC at any SwitchDepth;
 // only the whole-graph algorithms (BK, BKPivot) consist of a single
-// top-level branch and fall back to the sequential driver. The effective
-// worker count and any fallback reason are recorded in Stats.Workers and
+// top-level branch and run on one worker. The effective worker count and
+// any fallback reason are recorded in Stats.Workers and
 // Stats.ParallelFallback.
 //
 // Deprecated: the positional workers argument is folded into
@@ -59,20 +58,8 @@ func EnumerateParallel(g *graph.Graph, opts Options, workers int, emit func([]in
 	return stats, err
 }
 
-// sequentialFallback returns the reason a parallel query must delegate to
-// the sequential driver, or "" when the parallel scheduler applies.
-func sequentialFallback(opts Options, workers int) string {
-	if opts.Algorithm == BK || opts.Algorithm == BKPivot {
-		return fmt.Sprintf("%v runs as a single whole-graph branch", opts.Algorithm)
-	}
-	if workers == 1 {
-		return "single worker"
-	}
-	return ""
-}
-
-// configureEngine applies the per-algorithm recursion selection shared by
-// the sequential and parallel drivers.
+// configureEngine applies the per-algorithm recursion selection to a
+// driver's engine.
 func configureEngine(e *engine, opts Options) {
 	switch opts.Algorithm {
 	case BK:
@@ -91,107 +78,6 @@ func configureEngine(e *engine, opts Options) {
 	case EBBMC:
 		e.inner = InnerPivot // unused: the recursion stays edge-oriented
 		e.switchDepth = neverSwitch
-	}
-}
-
-// runVertexOrderedRange is the ordered top-level split (Eq. 1) restricted
-// to ordering positions begin, begin+stride, ... below end. The sequential
-// driver passes the whole range, the dynamic scheduler contiguous chunks
-// (stride 1), and the static-stride ablation the legacy modulo slicing.
-// Cancellation and early stops are observed once per top-level branch.
-//
-// Each branch universe is laid out candidates-first (later neighbors of v,
-// then earlier ones), mirroring the edge-oriented top level: exclusion
-// members only need adjacency rows of their own to compete as Tomita
-// pivots, so their rows — the dominant share of the build cost around hubs,
-// whose earlier-neighbor side is unbounded by δ — are built only when the
-// branch is recursion-heavy enough for pivot quality to pay for them.
-//
-//hbbmc:ctxpoll
-func (e *engine) runVertexOrderedRange(ord, pos []int32, begin, end, stride int) {
-	for i := begin; i < end; i += stride {
-		if e.rc.halted() {
-			return
-		}
-		v := ord[i]
-		nbrs := e.g.Neighbors(v)
-		pv := pos[v]
-		e.listBuf = e.listBuf[:0]
-		for _, w := range nbrs {
-			if pos[w] > pv {
-				e.listBuf = append(e.listBuf, w)
-			}
-		}
-		inC := len(e.listBuf)
-		for _, w := range nbrs {
-			if pos[w] <= pv {
-				e.listBuf = append(e.listBuf, w)
-			}
-		}
-		rowCount := inC
-		if withXRows(inC, len(nbrs)) {
-			rowCount = len(nbrs)
-		}
-		e.setUniverse(e.listBuf, -1, rowCount)
-		C := e.setArena.Get()
-		X := e.setArena.Get()
-		for j := 0; j < inC; j++ {
-			C.Set(j)
-		}
-		for j := inC; j < len(nbrs); j++ {
-			X.Set(j)
-		}
-		e.S = append(e.S[:0], v)
-		e.stats.TopBranches++
-		e.vertexRec(nil, C, X)
-	}
-}
-
-// runEdgeOrderedRange processes edge-order positions begin, begin+stride,
-// ... below end and leaves isolated vertices to the caller. Cancellation
-// and early stops are observed once per top-level branch.
-//
-//hbbmc:ctxpoll
-func (e *engine) runEdgeOrderedRange(begin, end, stride int) {
-	for i := begin; i < end; i += stride {
-		if e.rc.halted() {
-			return
-		}
-		e.runEdgeBranch(e.eo.Order[i])
-	}
-}
-
-// runEdgeOrderedSched processes the edge-order positions sched[begin:end]
-// (raw positions [begin, end) when sched is nil) — the cost-ordered variant
-// the dynamic scheduler feeds with contiguous chunks.
-//
-//hbbmc:ctxpoll
-func (e *engine) runEdgeOrderedSched(sched []int32, begin, end int) {
-	for i := begin; i < end; i++ {
-		if e.rc.halted() {
-			return
-		}
-		p := i
-		if sched != nil {
-			p = int(sched[i])
-		}
-		e.runEdgeBranch(e.eo.Order[p])
-	}
-}
-
-// runVertexOrderedSched is runEdgeOrderedSched's vertex-ordered sibling.
-//
-//hbbmc:ctxpoll
-func (e *engine) runVertexOrderedSched(ord, pos, sched []int32, begin, end int) {
-	for i := begin; i < end; i++ {
-		if e.rc.halted() {
-			return
-		}
-		p := i
-		if sched != nil {
-			p = int(sched[i])
-		}
-		e.runVertexOrderedRange(ord, pos, p, p+1, 1)
 	}
 }
 

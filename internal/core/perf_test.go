@@ -82,7 +82,7 @@ func TestLocalEpochMembership(t *testing.T) {
 // cheap tail, every item claimed exactly once.
 func TestWorkQueueRampUpCoversEveryItemOnce(t *testing.T) {
 	const n, workers = 3000, 4
-	q := newWorkQueue(n, workers, 0)
+	q := newWorkQueue(0, n, workers, 0)
 	q.rampUp = true
 	seen := make([]int, n)
 	first := -1
@@ -197,23 +197,6 @@ func TestCostOrderEquivalence(t *testing.T) {
 	}
 }
 
-// TestFusedKernelPathsMatchUnfused runs the cross-validation grid with the
-// fused word-parallel scans ablated, pinning the two implementations of
-// every hot scan to identical output.
-func TestFusedKernelPathsMatchUnfused(t *testing.T) {
-	ablateUnfusedKernels = true
-	defer func() { ablateUnfusedKernels = false }()
-	for _, seed := range []int64{1, 2, 3} {
-		g := gen.NoisyCliques(90, 9, 7, 90, seed)
-		want := referenceFor(g)
-		for _, algo := range []Algorithm{HBBMC, EBBMC, BKDegen, BKRef, BKRcd, BKFac} {
-			for _, et := range []int{0, 3} {
-				checkAgainstReference(t, "unfused", g, Options{Algorithm: algo, ET: et, GR: seed%2 == 0}, want)
-			}
-		}
-	}
-}
-
 // TestPhaseTimersPopulate checks that Options.PhaseTimers fills the phase
 // counters and that they stay zero when disabled.
 func TestPhaseTimersPopulate(t *testing.T) {
@@ -245,29 +228,21 @@ func TestPhaseTimersPopulate(t *testing.T) {
 }
 
 // BenchmarkPivotScan isolates the fused pivot-selection scan on a dense
-// branch universe, with the unfused per-bit baseline alongside.
+// branch universe.
 func BenchmarkPivotScan(b *testing.B) {
 	g := gen.NoisyCliques(2000, 120, 11, 6000, 21)
-	run := func(b *testing.B, unfused bool) {
-		if unfused {
-			ablateUnfusedKernels = true
-			defer func() { ablateUnfusedKernels = false }()
-		}
-		want, _, err := Count(g, Options{Algorithm: BKDegen})
+	want, _, err := Count(g, Options{Algorithm: BKDegen})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, _, err := Count(g, Options{Algorithm: BKDegen})
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			got, _, err := Count(g, Options{Algorithm: BKDegen})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if got != want {
-				b.Fatalf("got %d cliques, want %d", got, want)
-			}
+		if got != want {
+			b.Fatalf("got %d cliques, want %d", got, want)
 		}
 	}
-	b.Run("fused", func(b *testing.B) { run(b, false) })
-	b.Run("unfused", func(b *testing.B) { run(b, true) })
 }

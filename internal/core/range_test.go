@@ -190,7 +190,7 @@ func TestOrderingFingerprintDiscriminates(t *testing.T) {
 // makes remote shard streams and local worker claims the same decomposition.
 func TestRampUpChunkMatchesQueue(t *testing.T) {
 	const n, workers = 500, 3
-	q := newWorkQueue(n, workers, 0)
+	q := newWorkQueue(0, n, workers, 0)
 	q.rampUp = true
 	pos := 0
 	for {

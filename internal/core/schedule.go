@@ -51,15 +51,11 @@ type workQueue struct {
 	rampUp bool
 }
 
-func newWorkQueue(n, workers, fixed int) *workQueue {
-	return newWorkQueueRange(0, n, workers, fixed)
-}
-
-// newWorkQueueRange restricts the queue to the branch interval [lo, hi) —
-// the shape a distributed shard executes. The ramp-up position is relative
-// to lo: within a shard the schedule's cost order still decays, so the
-// shard-local head is handed out in small chunks.
-func newWorkQueueRange(lo, hi, workers, fixed int) *workQueue {
+// newWorkQueue builds a queue over the branch interval [lo, hi) — the full
+// branch space, or the shape a distributed shard executes. The ramp-up
+// position is relative to lo: within a shard the schedule's cost order
+// still decays, so the shard-local head is handed out in small chunks.
+func newWorkQueue(lo, hi, workers, fixed int) *workQueue {
 	if workers < 1 {
 		workers = 1
 	}
@@ -115,8 +111,8 @@ type emitSink struct {
 	batches atomic.Int64
 }
 
-// deliverLocked is the single deliver-or-drop protocol every path shares;
-// the caller holds mu. A stopped sink records the clique as dropped (the
+// deliverLocked is the deliver-or-drop protocol of a batch flush; the
+// caller holds mu. A stopped sink records the clique as dropped (the
 // finding worker already counted it); a visitor refusal latches the sink
 // and the run's stop flag.
 func (s *emitSink) deliverLocked(c []int32) bool {
@@ -134,33 +130,12 @@ func (s *emitSink) deliverLocked(c []int32) bool {
 	return true
 }
 
-// emitLocking delivers one clique, taking the sink lock itself — the
-// seed's per-clique locking, kept for the static-stride ablation. Unlike
-// the *Locked helpers it does not require the caller to hold the lock.
-func (s *emitSink) emitLocking(c []int32) bool {
-	s.mu.Lock()
-	ok := s.deliverLocked(c)
-	s.mu.Unlock()
-	return ok
-}
-
 // droppedCount reads the undelivered-clique count under the sink lock;
 // callers use it after the workers join, when the lock is uncontended.
 func (s *emitSink) droppedCount() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.dropped
-}
-
-// direct returns the delivery Visitor for single-goroutine phases after
-// the workers have joined (the isolated-vertex pass); the sink lock is
-// uncontended then, so the same locked protocol serves. nil when there is
-// no visitor.
-func (s *emitSink) direct() Visitor {
-	if s.visit == nil {
-		return nil
-	}
-	return s.emitLocking
 }
 
 // emitBatchDataCap bounds the flattened vertex-id buffer of one batcher so

@@ -8,7 +8,7 @@ import (
 
 func TestWorkQueueCoversEveryItemOnce(t *testing.T) {
 	const n, workers = 5000, 8
-	q := newWorkQueue(n, workers, 0)
+	q := newWorkQueue(0, n, workers, 0)
 	seen := make([]atomic.Int32, n)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -36,7 +36,7 @@ func TestWorkQueueCoversEveryItemOnce(t *testing.T) {
 
 func TestWorkQueueGuidedChunksShrink(t *testing.T) {
 	const n, workers = 1024, 4
-	q := newWorkQueue(n, workers, 0)
+	q := newWorkQueue(0, n, workers, 0)
 	var chunks []int
 	for {
 		begin, end, ok := q.next()
@@ -59,7 +59,7 @@ func TestWorkQueueGuidedChunksShrink(t *testing.T) {
 }
 
 func TestWorkQueueFixedChunks(t *testing.T) {
-	q := newWorkQueue(20, 4, 7)
+	q := newWorkQueue(0, 20, 4, 7)
 	var got []int
 	for {
 		begin, end, ok := q.next()
@@ -80,7 +80,7 @@ func TestWorkQueueFixedChunks(t *testing.T) {
 }
 
 func TestWorkQueueEmpty(t *testing.T) {
-	q := newWorkQueue(0, 3, 0)
+	q := newWorkQueue(0, 0, 3, 0)
 	if _, _, ok := q.next(); ok {
 		t.Fatal("empty queue handed out work")
 	}

@@ -45,9 +45,9 @@ type Session struct {
 	eo               truss.EdgeOrder
 	inc              *truss.Incidence
 
-	// Parallel branch schedule: top-level ordering positions sorted by
-	// descending estimated cost, built lazily on the first parallel query
-	// and shared by all of them (a Session is immutable otherwise).
+	// Branch schedule: top-level ordering positions sorted by descending
+	// estimated cost, built lazily on the first query that iterates it and
+	// shared by all of them (a Session is immutable otherwise).
 	// scheduleBytes mirrors the schedule's size for MemoryEstimate, which
 	// must not race the lazy build by touching the slice itself.
 	scheduleOnce  sync.Once
@@ -76,15 +76,15 @@ type Session struct {
 	prepTime           time.Duration
 }
 
-// branchSchedule returns the order in which the parallel driver hands
-// top-level branches to the work queue: ordering positions sorted by
-// descending estimated branch cost, so the expensive branches start first
-// and cannot strand the run's tail on one worker (the LPT heuristic of the
-// shared-memory parallel MCE literature). The estimate is the size of the
-// branch's candidate universe — the triangle count of the edge for the
-// edge-oriented frameworks, the later-neighbor count of the vertex for the
-// ordered vertex frameworks. Returns nil (raw ordering positions) when cost
-// ordering is ablated.
+// branchSchedule returns the order in which the driver hands top-level
+// branches to the work queue when it iterates schedule positions: ordering
+// positions sorted by descending estimated branch cost, so the expensive
+// branches start first and cannot strand the run's tail on one worker (the
+// LPT heuristic of the shared-memory parallel MCE literature). The estimate
+// is the size of the branch's candidate universe — the triangle count of
+// the edge for the edge-oriented frameworks, the later-neighbor count of
+// the vertex for the ordered vertex frameworks. Returns nil (raw ordering
+// positions) when cost ordering is ablated.
 func (s *Session) branchSchedule() []int32 {
 	if ablateCostOrder {
 		return nil
@@ -307,23 +307,23 @@ type QueryOptions struct {
 	// the unit delivered to the visitor, and a running maximum clique size
 	// that is at least the unit's own maximum. One degenerate call with
 	// lo == hi == 0 reports the preprocessing residue (reduction cliques and,
-	// for the edge-oriented frameworks, isolated vertices), which a hooked
-	// run emits before any branch so that "residue plus branches [0, W)" is a
-	// well-defined resumable prefix. Units are branches on the sequential
-	// driver and work-queue chunks on the parallel one; a unit whose
-	// completion or delivery is uncertain (the run was stopped or cancelled
-	// mid-unit) is never reported, so a checkpoint built from these calls
-	// only ever under-claims. The hook is called from at most one goroutine
-	// at a time but not always the caller's; it must not call back into the
-	// session.
+	// for the edge-oriented frameworks, isolated vertices), which every run
+	// emits before any branch so that "residue plus branches [0, W)" is a
+	// well-defined resumable prefix. Units are single branches on a
+	// one-worker run and work-queue chunks on a multi-worker one; a unit
+	// whose completion or delivery is uncertain (the run was stopped or
+	// cancelled mid-unit) is never reported, so a checkpoint built from these
+	// calls only ever under-claims. The hook is called from at most one
+	// goroutine at a time but not always the caller's; it must not call back
+	// into the session.
 	BranchDone func(lo, hi int, cliques int64, maxCliqueSize int)
 	// OrderedEmit makes a parallel enumeration deliver cliques to the
 	// visitor in ascending schedule-position order (residue first, then each
 	// branch chunk in turn), trading emit pipelining for a deterministic,
 	// resumable stream: everything delivered before BranchDone reports unit
 	// [lo, hi) belongs to residue + branches [0, hi). Implied by BranchDone
-	// when a visitor is set. No effect on sequential runs, which are already
-	// ordered.
+	// when a visitor is set. No effect on one-worker runs, which deliver in
+	// order already.
 	OrderedEmit bool
 	// BranchLo and BranchHi restrict the query to the half-open interval
 	// [BranchLo, BranchHi) of top-level branch schedule positions — the
@@ -381,9 +381,9 @@ func (q QueryOptions) apply(base Options) (Options, error) {
 // branchRange is the resolved form of QueryOptions.BranchLo/BranchHi: a
 // half-open interval of branch schedule positions, or the full branch space
 // when set is false. The distinction matters beyond bounds: an unranged
-// sequential run iterates the raw ordering (the historical, cache-friendly
-// order), while any set range iterates schedule positions so that interval
-// arithmetic on descriptors stays valid.
+// one-worker run iterates the raw ordering (the cheaper order), while any
+// set range iterates schedule positions so that interval arithmetic on
+// descriptors stays valid.
 type branchRange struct {
 	lo, hi int
 	set    bool
@@ -420,9 +420,9 @@ func (s *Session) CountWith(ctx context.Context, q QueryOptions) (int64, *Stats,
 }
 
 // Enumerate runs one query, invoking visit once per maximal clique (visit
-// may be nil to only collect statistics). Options.Workers selects the
-// driver: 0 or 1 sequential, n > 1 parallel over up to n goroutines,
-// UseAllCores every core.
+// may be nil to only collect statistics). Options.Workers selects how many
+// workers share the top-level branches: 0 or 1 runs on the caller's
+// goroutine, n > 1 on up to n goroutines, UseAllCores on every core.
 //
 // ctx is checked cooperatively at top-branch granularity: after a
 // cancellation or deadline the run returns within one top-level branch,
@@ -479,7 +479,7 @@ func (s *Session) Cliques(ctx context.Context) iter.Seq[[]int32] {
 }
 
 // resolveWorkers maps an Options.Workers-style value to an effective worker
-// count: 0 and 1 are sequential, UseAllCores is GOMAXPROCS, and anything
+// count: 0 and 1 are one worker, UseAllCores is GOMAXPROCS, and anything
 // larger than GOMAXPROCS is clamped to it.
 func resolveWorkers(w int) int {
 	max := runtime.GOMAXPROCS(0)
@@ -494,13 +494,12 @@ func resolveWorkers(w int) int {
 	return w
 }
 
-// enumerate dispatches one query to the sequential or parallel driver.
-// opts is the effective per-query option set: the session's normalized
-// options, possibly with the run knobs overridden by QueryOptions. The
-// algorithm-defining fields always equal the session's, so the cached
-// orderings stay valid. Resolving opts.Workers here (rather than in the
-// callers) lets a parallel request that clamps down to one worker still
-// record its fallback reason in Stats.ParallelFallback.
+// enumerate runs one full-space query. opts is the effective per-query
+// option set: the session's normalized options, possibly with the run
+// knobs overridden by QueryOptions. The algorithm-defining fields always
+// equal the session's, so the cached orderings stay valid. The driver
+// resolves opts.Workers, so a parallel request that clamps down to one
+// worker still records its fallback reason in Stats.ParallelFallback.
 func (s *Session) enumerate(ctx context.Context, opts Options, visit Visitor) (*Stats, error) {
 	return s.enumerateRange(ctx, opts, branchRange{}, progress{}, visit)
 }
@@ -524,30 +523,20 @@ func (s *Session) enumerateRange(ctx context.Context, opts Options, rng branchRa
 			return nil, fmt.Errorf("core: branch range [%d,%d) exceeds the session's %d top-level branches", rng.lo, rng.hi, n)
 		}
 	}
-	if prog.hook != nil && !rng.set {
-		// Progress intervals are schedule positions, so a hooked run must
-		// iterate the schedule even when unranged — otherwise a checkpoint
-		// taken now would name different branches than the ranged resume.
-		rng = branchRange{lo: 0, hi: s.NumTopBranches(), set: true}
-	}
 	rc := newRunControl(ctx, opts)
-	requested := opts.Workers
-	workers := resolveWorkers(requested)
-	var stats *Stats
-	switch {
-	case workers <= 1:
-		stats = s.runSequential(rc, opts, rng, prog, visit)
-		if requested > 1 || requested == UseAllCores {
-			stats.ParallelFallback = "single worker"
-		}
-	default:
-		if reason := sequentialFallback(opts, workers); reason != "" {
-			stats = s.runSequential(rc, opts, rng, prog, visit)
-			stats.ParallelFallback = reason
-		} else {
-			stats = s.runParallel(rc, opts, workers, rng, prog, visit)
+	plan := s.sessionPlan(
+		func(e *engine, p int) { e.runEdgeBranch(s.eo.Order[p]) },
+		func(e *engine, p int) { e.runVertexBranch(s.vertOrd, s.vertPos, p) },
+		(*engine).runWholeGraph)
+	edgeDriven := opts.Algorithm == EBBMC || opts.Algorithm == HBBMC
+	plan.residue = func(e *engine) {
+		e.emitReduced(s.red.Cliques)
+		if edgeDriven && !rc.halted() {
+			e.runIsolatedVertices()
 		}
 	}
+	plan.rng, plan.prog, plan.visit = rng, prog, visit
+	stats := s.drive(rc, opts, plan)
 	return stats, rc.err()
 }
 
@@ -562,275 +551,6 @@ func (s *Session) baseStats(workers int) *Stats {
 		Tau:              s.tau,
 		HIndex:           s.hIndex,
 	}
-}
-
-// emitReduced reports the cliques found by the reduction preprocessing,
-// honouring the clique budget and the visitor's stop signal. The visitor
-// sees a scratch copy, never the session's cached slices — the streaming
-// contract lets callers scribble on the slice until the call returns, and
-// that must not corrupt the cache that later queries reuse.
-//
-//hbbmc:ctxpoll
-func emitReduced(rc *runControl, stats *Stats, cliques [][]int32, visit Visitor) {
-	var buf []int32
-	for _, c := range cliques {
-		if rc.halted() || !rc.take() {
-			return
-		}
-		stats.Cliques++
-		if len(c) > stats.MaxCliqueSize {
-			stats.MaxCliqueSize = len(c)
-		}
-		if visit != nil {
-			buf = append(buf[:0], c...)
-			if !visit(buf) {
-				rc.stop.Store(true)
-				return
-			}
-		}
-	}
-}
-
-// runSequential executes one query on a single goroutine. A set rng
-// restricts the run to its branch interval: ranged runs iterate schedule
-// positions (unranged sequential runs keep the historical raw-order
-// iteration) and the preprocessing residue — reduction cliques, isolated
-// vertices of the edge-oriented split — is emitted only by the interval
-// containing position 0, so shards that partition the branch space
-// partition the clique set too.
-func (s *Session) runSequential(rc *runControl, opts Options, rng branchRange, prog progress, visit Visitor) *Stats {
-	stats := s.baseStats(1)
-	enum := time.Now()
-	if rng.lo == 0 {
-		emitReduced(rc, stats, s.red.Cliques, visit)
-	}
-	if !rc.halted() {
-		e := newEngine(s.res, s.red, opts, stats, visit, rc)
-		configureEngine(e, opts)
-		e.eo, e.inc = s.eo, s.inc
-		edgeDriven := opts.Algorithm == EBBMC || opts.Algorithm == HBBMC
-		if prog.hook != nil {
-			// Residue first under a progress hook: the isolated-vertex pass
-			// of the edge-oriented split moves ahead of the branch loop so a
-			// checkpoint at watermark W covers exactly residue + [0, W).
-			if edgeDriven && rng.lo == 0 {
-				e.runIsolatedVertices()
-			}
-			if !rc.halted() && rng.lo == 0 {
-				prog.hook(0, 0, stats.Cliques, stats.MaxCliqueSize)
-			}
-		}
-		switch opts.Algorithm {
-		case BK, BKPivot:
-			// The single whole-graph branch is position 0 of a one-branch
-			// schedule; an interval excluding it has nothing to run.
-			if !rng.set || (rng.lo == 0 && rng.hi > 0) {
-				before := stats.Cliques
-				e.runWholeGraph()
-				if prog.hook != nil && !rc.halted() {
-					prog.hook(0, 1, stats.Cliques-before, stats.MaxCliqueSize)
-				}
-			}
-		case BKRef, BKDegen, BKRcd, BKFac, BKDegree:
-			switch {
-			case !rng.set:
-				e.runVertexOrdered(s.vertOrd, s.vertPos)
-			case prog.hook == nil:
-				e.runVertexOrderedSched(s.vertOrd, s.vertPos, s.branchSchedule(), rng.lo, rng.hi)
-			default:
-				sched := s.branchSchedule()
-				for i := rng.lo; i < rng.hi && !rc.halted(); i++ {
-					before := stats.Cliques
-					e.runVertexOrderedSched(s.vertOrd, s.vertPos, sched, i, i+1)
-					if !rc.halted() {
-						prog.hook(i, i+1, stats.Cliques-before, stats.MaxCliqueSize)
-					}
-				}
-			}
-		case EBBMC, HBBMC:
-			switch {
-			case !rng.set:
-				e.runEdgeOrdered()
-			case prog.hook == nil:
-				e.runEdgeOrderedSched(s.branchSchedule(), rng.lo, rng.hi)
-				if rng.lo == 0 && !rc.halted() {
-					e.runIsolatedVertices()
-				}
-			default:
-				// Isolated vertices already ran above, residue-first.
-				sched := s.branchSchedule()
-				for i := rng.lo; i < rng.hi && !rc.halted(); i++ {
-					before := stats.Cliques
-					e.runEdgeOrderedSched(sched, i, i+1)
-					if !rc.halted() {
-						prog.hook(i, i+1, stats.Cliques-before, stats.MaxCliqueSize)
-					}
-				}
-			}
-		}
-	}
-	stats.EnumTime = time.Since(enum)
-	return stats
-}
-
-// runParallel executes one query with the top-level branches distributed
-// over worker goroutines through the dynamic work queue. Workers observe
-// cancellation and early stops at top-branch granularity, so the call
-// returns within one branch granule of the signal with all goroutines
-// joined.
-func (s *Session) runParallel(rc *runControl, opts Options, workers int, rng branchRange, prog progress, visit Visitor) *Stats {
-	stats := s.baseStats(workers)
-	enum := time.Now()
-	if rng.lo == 0 {
-		emitReduced(rc, stats, s.red.Cliques, visit)
-	}
-	if rc.halted() {
-		stats.EnumTime = time.Since(enum)
-		return stats
-	}
-
-	edgeDriven := opts.Algorithm == EBBMC || opts.Algorithm == HBBMC
-	items := len(s.vertOrd)
-	if edgeDriven {
-		items = len(s.eo.Order)
-	}
-	lo, hi := 0, items
-	if rng.set {
-		lo, hi = rng.lo, rng.hi
-	}
-	var sched []int32
-	if !ablateStaticStride {
-		sched = s.branchSchedule()
-	}
-	ordered := visit != nil && !ablateStaticStride && (prog.ordered || prog.hook != nil)
-	if prog.hook != nil || ordered {
-		// Residue first under a progress hook or ordered emission: the
-		// isolated-vertex pass moves ahead of the workers (the sink does not
-		// exist yet, so the engine delivers straight to the visitor) and the
-		// degenerate residue call anchors the checkpoint protocol before
-		// branch 0.
-		if edgeDriven && lo == 0 {
-			e := newEngine(s.res, s.red, opts, stats, visit, rc)
-			configureEngine(e, opts)
-			e.eo, e.inc = s.eo, s.inc
-			e.runIsolatedVertices()
-		}
-		if rc.halted() {
-			stats.EnumTime = time.Since(enum)
-			return stats
-		}
-		if prog.hook != nil && lo == 0 {
-			prog.hook(0, 0, stats.Cliques, stats.MaxCliqueSize)
-		}
-	}
-	queue := newWorkQueueRange(lo, hi, workers, opts.ParallelChunkSize)
-	queue.rampUp = sched != nil && opts.ParallelChunkSize <= 0
-	sink := &emitSink{visit: visit, rc: rc}
-	var oseq *orderedSeq
-	if ordered {
-		oseq = newOrderedSeq(visit, rc, prog.hook, lo)
-	}
-
-	workerStats := make([]*Stats, workers)
-	// hookMu upholds BranchDone's one-goroutine-at-a-time contract on the
-	// counting path, where chunks complete concurrently (the ordered path
-	// fires the hook from the single releasing goroutine instead).
-	var hookMu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		ws := &Stats{}
-		workerStats[w] = ws
-		var batcher *emitBatcher
-		var writer *orderedWriter
-		var workerEmit Visitor
-		switch {
-		case visit == nil:
-		case oseq != nil:
-			writer = &orderedWriter{}
-			workerEmit = writer.add
-		case ablateStaticStride:
-			// Seed behavior under ablation: one lock round-trip per clique.
-			workerEmit = sink.emitLocking
-		default:
-			batcher = newEmitBatcher(sink, opts.EmitBatchSize)
-			workerEmit = batcher.add
-		}
-		e := newEngine(s.res, s.red, opts, ws, workerEmit, rc)
-		configureEngine(e, opts)
-		e.eo, e.inc = s.eo, s.inc
-		offset := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if ablateStaticStride {
-				if edgeDriven {
-					e.runEdgeOrderedRange(lo+offset, hi, workers)
-				} else {
-					e.runVertexOrderedRange(s.vertOrd, s.vertPos, lo+offset, hi, workers)
-				}
-			} else {
-				for !rc.halted() {
-					begin, end, ok := queue.next()
-					if !ok {
-						break
-					}
-					before := ws.Cliques
-					if writer != nil {
-						writer.cur = &orderedChunk{begin: begin, end: end}
-					}
-					if edgeDriven {
-						e.runEdgeOrderedSched(sched, begin, end)
-					} else {
-						e.runVertexOrderedSched(s.vertOrd, s.vertPos, sched, begin, end)
-					}
-					switch {
-					case oseq != nil:
-						oseq.complete(writer.cur)
-					case prog.hook != nil && !rc.stopped():
-						// Counting run: no delivery to sequence, so report
-						// each completed chunk as soon as its counts are
-						// certain. The hook consumer merges the intervals
-						// into a contiguous-prefix watermark itself.
-						hookMu.Lock()
-						prog.hook(begin, end, ws.Cliques-before, ws.MaxCliqueSize)
-						hookMu.Unlock()
-					}
-				}
-			}
-			if batcher != nil {
-				batcher.flush()
-			}
-		}()
-	}
-	wg.Wait()
-	if oseq != nil {
-		oseq.abandon()
-	}
-	// Isolated vertices of the edge-ordered drivers are handled once,
-	// outside the workers; with the workers joined, the sink lock is
-	// uncontended. Like the reduction cliques they belong to the branch
-	// interval containing position 0. Hooked runs already emitted them
-	// before the workers, residue-first.
-	if edgeDriven && lo == 0 && !rc.halted() && prog.hook == nil && !ordered {
-		e := newEngine(s.res, s.red, opts, stats, sink.direct(), rc)
-		configureEngine(e, opts)
-		e.eo, e.inc = s.eo, s.inc
-		e.runIsolatedVertices()
-	}
-	for _, ws := range workerStats {
-		stats.merge(ws)
-	}
-	// Workers count a clique when they find it, before it is batched; ones
-	// the stop latch kept from being delivered come off again so Cliques
-	// means "reported to the caller" on every path.
-	stats.Cliques -= sink.droppedCount()
-	stats.EmitBatches = sink.batches.Load()
-	if oseq != nil {
-		stats.Cliques -= oseq.droppedCount()
-		stats.EmitBatches = oseq.released.Load()
-	}
-	stats.EnumTime = time.Since(enum)
-	return stats
 }
 
 // runControl carries the cooperative run-state shared by every engine of
@@ -867,8 +587,8 @@ func newRunControl(ctx context.Context, opts Options) *runControl {
 // stopped reports the stop latch alone — the cheap check recursions poll.
 func (rc *runControl) stopped() bool { return rc.stop.Load() }
 
-// halted additionally polls the context; drivers call it once per top-level
-// branch. Observing a done context latches stop so in-flight recursions of
+// halted additionally polls the context; the driver calls it once per
+// top-level branch. Observing a done context latches stop so in-flight recursions of
 // other workers unwind too.
 func (rc *runControl) halted() bool {
 	if rc.stop.Load() {

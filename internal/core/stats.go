@@ -87,17 +87,17 @@ type Stats struct {
 	EmitTime     time.Duration `json:"emit_time_ns,omitempty"`
 
 	// Workers is the number of goroutines that actually executed the
-	// enumeration: 1 for the sequential driver (including parallel
-	// fallbacks), the effective post-clamp count for parallel runs.
+	// enumeration: 1 for a one-worker run (including parallel fallbacks),
+	// the effective post-clamp count for parallel runs.
 	//hbbmc:nomerge set once by the coordinator after clamping
 	Workers int `json:"workers"`
-	// ParallelFallback is non-empty when a parallel run delegated to the
-	// sequential driver, and states why (whole-graph algorithm, single
-	// worker).
+	// ParallelFallback is non-empty when a multi-worker request ran on one
+	// worker, and states why (whole-graph algorithm, single worker).
 	ParallelFallback string `json:"parallel_fallback,omitempty"`
-	// EmitBatches counts the batched-emit flushes of a parallel run
-	// (0 when emit was nil or the run was sequential). The sink counts
-	// flushes globally; the coordinator copies the total after the join.
+	// EmitBatches counts the batched-emit flushes of a parallel run, or
+	// its released chunks under ordered emission (0 when emit was nil or
+	// the run had one worker). The sink counts globally; the coordinator
+	// copies the total after the join.
 	//hbbmc:nomerge read from the shared emit sink after workers join
 	EmitBatches int64 `json:"emit_batches"`
 
@@ -150,7 +150,7 @@ func (s *Stats) PhaseTimes() [4]PhaseTime {
 
 // MergeStats folds src's per-worker counters into dst — the cross-shard
 // aggregation entry point of the distributed coordinator, which sums the
-// Stats of remote branch-range shards exactly like the parallel driver sums
+// Stats of remote branch-range shards exactly like the driver sums
 // per-worker Stats. Fields annotated //hbbmc:nomerge (wall-clock spans,
 // graph properties, the shard counters themselves) are left for the caller
 // to seed; see the field comments in Stats.

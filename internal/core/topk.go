@@ -28,7 +28,7 @@ func cliqueLess(a, b []int32) bool {
 }
 
 // topKAccum accumulates the k best cliques under cliqueLess. It is used as
-// an enumeration Visitor, which the drivers guarantee never runs
+// an enumeration Visitor, which the driver guarantees never runs
 // concurrently, so no lock is needed. The heap is worst-first: heap[0] is
 // the entry the next better clique evicts.
 type topKAccum struct {

@@ -15,9 +15,7 @@ import (
 //
 // Hot loops iterate bitsets word-by-word (TrailingZeros64 + w&(w-1)) rather
 // than through per-bit First/NextAfter calls, and compute candidate degrees
-// with the fused intersect+popcount kernels of internal/bitset. The
-// ablateUnfusedKernels toggle reverts the scans to the per-bit composed
-// forms so the fused path's contribution stays measurable.
+// with the fused intersect+popcount kernels of internal/bitset.
 
 // pivotRec is the classic Tomita pivot recursion used by BK_Pivot, BK_Degen,
 // BK_Degree and as the default inner recursion of HBBMC: pick the vertex of
@@ -86,29 +84,6 @@ func (e *engine) scanPivot(C, X bitset.Set) (cSize, minDeg, pivot int) {
 	cSize, minDeg, pivot = 0, math.MaxInt, -1
 	best := -1
 	e.ensureCnt()
-	if ablateUnfusedKernels {
-		for i := C.First(); i >= 0; i = C.NextAfter(i) {
-			cSize++
-			cnt := e.adjG[i].AndCount(C)
-			e.cntBuf[i] = int32(cnt)
-			if cnt > best {
-				best, pivot = cnt, i
-			}
-			if cnt < minDeg {
-				minDeg = cnt
-			}
-		}
-		for i := X.First(); i >= 0; i = X.NextAfter(i) {
-			if e.adjG[i] == nil {
-				continue
-			}
-			if cnt := e.adjG[i].AndCount(C); cnt > best {
-				best, pivot = cnt, i
-			}
-		}
-		e.addPivot(t0)
-		return cSize, minDeg, pivot
-	}
 	adj := e.adjG
 	cnt := e.cntBuf
 	for wi, w := range C {
@@ -229,38 +204,22 @@ func (e *engine) refRec(adjH []bitset.Set, C, X bitset.Set) {
 	minDeg, universal := math.MaxInt, -1
 	best, pivot := -1, -1
 	e.ensureCnt()
-	if ablateUnfusedKernels {
-		for i := C.First(); i >= 0; i = C.NextAfter(i) {
-			cnt := e.adjG[i].AndCount(C)
-			e.cntBuf[i] = int32(cnt)
-			if cnt > best {
-				best, pivot = cnt, i
+	adj := e.adjG
+	cnt := e.cntBuf
+	for wi, w := range C {
+		base := wi * 64
+		for ; w != 0; w &= w - 1 {
+			i := base + bits.TrailingZeros64(w)
+			c := adj[i].AndCount(C)
+			cnt[i] = int32(c)
+			if c > best {
+				best, pivot = c, i
 			}
-			if cnt < minDeg {
-				minDeg = cnt
+			if c < minDeg {
+				minDeg = c
 			}
-			if cnt == cSize-1 && universal < 0 {
+			if c == cSize-1 && universal < 0 {
 				universal = i
-			}
-		}
-	} else {
-		adj := e.adjG
-		cnt := e.cntBuf
-		for wi, w := range C {
-			base := wi * 64
-			for ; w != 0; w &= w - 1 {
-				i := base + bits.TrailingZeros64(w)
-				c := adj[i].AndCount(C)
-				cnt[i] = int32(c)
-				if c > best {
-					best, pivot = c, i
-				}
-				if c < minDeg {
-					minDeg = c
-				}
-				if c == cSize-1 && universal < 0 {
-					universal = i
-				}
 			}
 		}
 	}
@@ -322,10 +281,6 @@ func (e *engine) refRec(adjH []bitset.Set, C, X bitset.Set) {
 //
 //hbbmc:noalloc
 func (e *engine) rcdRec(adjH []bitset.Set, C, X bitset.Set) {
-	if ablateUnfusedKernels {
-		e.rcdRecRescan(adjH, C, X)
-		return
-	}
 	if e.rc.stopped() {
 		return
 	}
@@ -412,8 +367,8 @@ func (e *engine) rcdRec(adjH []bitset.Set, C, X bitset.Set) {
 			return
 		}
 		// Removing minV from C decrements the candidate degree of exactly
-		// its neighbors inside C — one row intersection instead of the
-		// |C| full-row rescans of the composed form.
+		// its neighbors inside C — one row intersection instead of |C|
+		// full-row rescans.
 		tmp.AndInto(C, e.adjG[minV])
 		for wi, w := range tmp {
 			base := wi * 64
@@ -452,74 +407,6 @@ func (e *engine) rcdRec(adjH []bitset.Set, C, X bitset.Set) {
 	}
 	e.setArena.Release(mark)
 	e.cntArena.release(imark)
-}
-
-// rcdRecRescan is the pre-fused BK_Rcd inner loop — a full candidate-degree
-// rescan per removal step — kept verbatim for the ablateUnfusedKernels
-// measurement.
-//
-//hbbmc:noalloc
-func (e *engine) rcdRecRescan(adjH []bitset.Set, C, X bitset.Set) {
-	if e.rc.stopped() {
-		return
-	}
-	e.stats.Calls++
-	e.stats.VertexCalls++
-	if C.IsEmpty() {
-		if X.IsEmpty() {
-			e.emit(nil)
-		}
-		return
-	}
-	mark := e.setArena.Mark()
-	childC := e.setArena.Get()
-	childX := e.setArena.Get()
-	tmp := e.setArena.Get()
-	cSize := 0
-	for {
-		cSize = 0
-		minH, minV := math.MaxInt, -1
-		minG := math.MaxInt
-		e.ensureCnt()
-		for i := C.First(); i >= 0; i = C.NextAfter(i) {
-			cSize++
-			var cntH int
-			cntG := e.adjG[i].AndCount(C)
-			e.cntBuf[i] = int32(cntG)
-			if adjH != nil {
-				cntH = adjH[i].AndCount(C)
-			} else {
-				cntH = cntG
-			}
-			if cntH < minH {
-				minH, minV = cntH, i
-			}
-			if cntG < minG {
-				minG = cntG
-			}
-		}
-		if cSize == 0 {
-			e.setArena.Release(mark)
-			return
-		}
-		if e.tryEarlyTerminate(adjH, C, X, cSize, minG) {
-			e.setArena.Release(mark)
-			return
-		}
-		if minH == cSize-1 {
-			break
-		}
-		e.deriveChild(adjH, C, X, minV, childC, childX, tmp)
-		e.S = append(e.S, e.verts[minV])
-		e.rcdRecRescan(adjH, childC, childX)
-		e.S = e.S[:len(e.S)-1]
-		C.Unset(minV)
-		X.Set(minV)
-	}
-	if !e.xDominated(C, X) {
-		e.emitSet(C)
-	}
-	e.setArena.Release(mark)
 }
 
 // facRec is BK_Fac (Algorithm 10 of the paper, from [18]): start from an
@@ -583,18 +470,6 @@ func (e *engine) scanDegrees(C bitset.Set) (cSize, minDeg int) {
 	t0 := e.now()
 	cSize, minDeg = 0, math.MaxInt
 	e.ensureCnt()
-	if ablateUnfusedKernels {
-		for i := C.First(); i >= 0; i = C.NextAfter(i) {
-			cSize++
-			cnt := e.adjG[i].AndCount(C)
-			e.cntBuf[i] = int32(cnt)
-			if cnt < minDeg {
-				minDeg = cnt
-			}
-		}
-		e.addPivot(t0)
-		return cSize, minDeg
-	}
 	adj := e.adjG
 	cnt := e.cntBuf
 	for wi, w := range C {

@@ -2,10 +2,13 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"github.com/graphmining/hbbmc/internal/gen"
 	"github.com/graphmining/hbbmc/internal/graph"
@@ -346,5 +349,118 @@ func TestWorkloadQueryValidation(t *testing.T) {
 	}
 	if _, _, err := s.CountKCliques(ctx, 3, rangeQ); err == nil {
 		t.Error("CountKCliques with a branch range should be rejected")
+	}
+}
+
+// TestCancellationEveryQueryType cancels every query type through the one
+// top-level driver, at one and two workers, on an edge-ordered and a
+// vertex-ordered session. A context cancelled before the call must yield
+// non-nil Stats, an error wrapping context.Canceled and no leftover
+// goroutine; partial answers must stay sound. At one worker, an enumeration
+// whose first visitor call cancels must stop at the next branch boundary:
+// what it delivers after the cancel fits in the unit (residue or single
+// branch) it was in.
+func TestCancellationEveryQueryType(t *testing.T) {
+	withProcs(t, 2)
+	g := gen.NoisyCliques(300, 20, 8, 600, 11)
+	const k = 4
+	for _, cfg := range []Options{
+		{Algorithm: HBBMC, ET: 3, GR: true},
+		{Algorithm: HBBMC, ET: 3},
+		{Algorithm: BKDegen, ET: 3, GR: true},
+		{Algorithm: BKDegen, ET: 3},
+	} {
+		algo := fmt.Sprintf("%v/gr=%v", cfg.Algorithm, cfg.GR)
+		s, err := NewSession(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fullK, _, err := s.CountKCliques(context.Background(), k, QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2} {
+			q := QueryOptions{Workers: workers}
+			queries := []struct {
+				name string
+				run  func(ctx context.Context) (*Stats, error)
+			}{
+				{"Enumerate", func(ctx context.Context) (*Stats, error) {
+					return s.EnumerateWith(ctx, q, func([]int32) bool { return true })
+				}},
+				{"Count", func(ctx context.Context) (*Stats, error) {
+					_, stats, err := s.CountWith(ctx, q)
+					return stats, err
+				}},
+				{"TopK", func(ctx context.Context) (*Stats, error) {
+					_, stats, err := s.TopK(ctx, 5, q)
+					return stats, err
+				}},
+				{"MaxClique", func(ctx context.Context) (*Stats, error) {
+					witness, stats, err := s.MaxClique(ctx, q)
+					if !g.IsClique(witness) {
+						t.Errorf("%s/w%d: MaxClique witness %v is not a clique", algo, workers, witness)
+					}
+					return stats, err
+				}},
+				{"CountKCliques", func(ctx context.Context) (*Stats, error) {
+					n, stats, err := s.CountKCliques(ctx, k, q)
+					if n > fullK {
+						t.Errorf("%s/w%d: partial %d-clique count %d exceeds the full %d", algo, workers, k, n, fullK)
+					}
+					return stats, err
+				}},
+			}
+			for _, query := range queries {
+				label := fmt.Sprintf("%s/w%d/%s", algo, workers, query.name)
+				goroutines := runtime.NumGoroutine()
+				ctx, cancel := context.WithCancel(context.Background())
+				cancel()
+				stats, err := query.run(ctx)
+				if stats == nil || !errors.Is(err, context.Canceled) {
+					t.Errorf("%s: stats=%v err=%v, want non-nil stats and context.Canceled", label, stats, err)
+				}
+				waitGoroutines(t, label, goroutines)
+			}
+		}
+
+		// Per-unit clique counts from a one-worker hooked count: the
+		// residue call, then one call per branch.
+		largest := int64(0)
+		if _, _, err := s.CountWith(context.Background(), QueryOptions{Workers: 1,
+			BranchDone: func(_, _ int, cliques int64, _ int) { largest = max(largest, cliques) },
+		}); err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		delivered := int64(0)
+		stats, err := s.EnumerateWith(ctx, QueryOptions{Workers: 1}, func([]int32) bool {
+			cancel()
+			delivered++
+			return true
+		})
+		cancel()
+		if stats == nil || !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: cancel from the visitor: stats=%v err=%v", algo, stats, err)
+		}
+		if delivered > largest || stats.Cliques != delivered {
+			t.Fatalf("%s: %d cliques delivered (stats %d) after a cancel in the first visitor call; the largest unit holds %d",
+				algo, delivered, stats.Cliques, largest)
+		}
+	}
+}
+
+// waitGoroutines fails the test unless the goroutine count drops back to
+// want; a driver joins its workers before returning, so only unrelated
+// runtime goroutines may take a moment to exit.
+func waitGoroutines(t *testing.T, label string, want int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Errorf("%s: %d goroutines after the call, %d before", label, runtime.NumGoroutine(), want)
+			return
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -417,6 +417,9 @@ func TestGracefulShutdownResume(t *testing.T) {
 		_, data := a.do("POST", "/v1/jobs", map[string]any{"dataset": "er", "mode": "count", "workers": 1})
 		countResp <- data
 	}()
+	// The POST must be admitted before Shutdown begins, or the server
+	// rightly answers 503: wait until the job list shows it queued.
+	waitQueued(t, a.testEnv, "count")
 
 	// Stream until the first checkpoint marker, then SIGTERM the daemon
 	// while the stream is live.
@@ -641,4 +644,29 @@ func TestResumeUnknownCursor(t *testing.T) {
 		t.Fatalf("reclaim trailer %v, want done", rest.trailer)
 	}
 	assertExactlyOnce(t, want, rest.kept, rest.tail)
+}
+
+// waitQueued polls GET /v1/jobs until a job of the given type is listed as
+// queued.
+func waitQueued(t *testing.T, e *testEnv, typ string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		_, data := e.do("GET", "/v1/jobs", nil)
+		var list struct {
+			Jobs []service.JobView `json:"jobs"`
+		}
+		if err := json.Unmarshal(data, &list); err != nil {
+			t.Fatalf("job list undecodable: %v", err)
+		}
+		for _, v := range list.Jobs {
+			if v.Type == typ && v.State == service.StateQueued {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no %s job listed as queued", typ)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
