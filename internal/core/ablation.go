@@ -22,4 +22,7 @@ var (
 	// branches in the driver's schedule, reverting to raw edge/vertex
 	// ordering positions.
 	ablateCostOrder bool
+	// ablateWordKernel sends HBBMC edge branches of at most 64 members
+	// through the generic bitset path instead of the one-word kernel.
+	ablateWordKernel bool
 )

@@ -46,6 +46,7 @@ func BenchmarkAblationNoTinyBranch(b *testing.B)     { runAblation(b, &ablateTin
 func BenchmarkAblationNoMaskFreeCheck(b *testing.B)  { runAblation(b, &ablateMaskFree) }
 func BenchmarkAblationNoMaskDropping(b *testing.B)   { runAblation(b, &ablateMaskDrop) }
 func BenchmarkAblationNoXDominationCut(b *testing.B) { runAblation(b, &ablateXDomination) }
+func BenchmarkAblationNoWordKernel(b *testing.B)     { runAblation(b, &ablateWordKernel) }
 
 // TestAblatedPathsStillCorrect runs the cross-validation grid with every
 // optimisation disabled — the closest configuration to the paper's plain
@@ -55,11 +56,13 @@ func TestAblatedPathsStillCorrect(t *testing.T) {
 	ablateMaskFree = true
 	ablateMaskDrop = true
 	ablateXDomination = true
+	ablateWordKernel = true
 	defer func() {
 		ablateTinyBranch = false
 		ablateMaskFree = false
 		ablateMaskDrop = false
 		ablateXDomination = false
+		ablateWordKernel = false
 	}()
 	for _, seed := range []int64{1, 2, 3, 4, 5} {
 		g := gen.NoisyCliques(80, 8, 7, 80, seed)

@@ -28,18 +28,26 @@ func warmEngine(t *testing.T, opts Options) (*Session, *engine) {
 // TestRecursionAllocFree pins the warm enumeration hot path — the PR-4
 // claim the //hbbmc:noalloc annotations encode — at exactly zero heap
 // allocations per full run, for both the ordered vertex recursion and the
-// hybrid edge-driven recursion with early termination enabled.
+// hybrid edge-driven recursion with early termination enabled. The planted
+// graph's edge branches all fit one word, so HBBMC_ET3 runs the one-word
+// kernel and HBBMC_ET3_generic the bitset path it replaces.
 func TestRecursionAllocFree(t *testing.T) {
 	cases := []struct {
-		name string
-		opts Options
+		name   string
+		opts   Options
+		ablate *bool
 	}{
-		{"BKDegen", Options{Algorithm: BKDegen}},
-		{"HBBMC_ET3", Options{Algorithm: HBBMC, ET: 3}},
-		{"EBBMC", Options{Algorithm: EBBMC}},
+		{"BKDegen", Options{Algorithm: BKDegen}, nil},
+		{"HBBMC_ET3", Options{Algorithm: HBBMC, ET: 3}, nil},
+		{"HBBMC_ET3_generic", Options{Algorithm: HBBMC, ET: 3}, &ablateWordKernel},
+		{"EBBMC", Options{Algorithm: EBBMC}, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.ablate != nil {
+				*tc.ablate = true
+				defer func() { *tc.ablate = false }()
+			}
 			s, e := warmEngine(t, tc.opts)
 			run := func() {
 				switch tc.opts.Algorithm {

@@ -234,9 +234,18 @@ func (e *engine) runEdgeBranch(eid int32) {
 		}
 	}
 	t0 := e.now()
-	e.installUniverse(e.listBuf, r, rowCount)
-	e.fillRowsFromIncidence(r, rowCount)
+	word := false
+	if e.switchDepth <= 1 && e.inner == InnerPivot && len(common) <= 64 && !ablateWordKernel {
+		word = e.installWordUniverse(e.listBuf, r, rowCount, inC)
+	} else {
+		e.installUniverse(e.listBuf, r, rowCount)
+		e.fillRowsFromIncidence(r, rowCount)
+	}
 	e.addUniverse(t0)
+	if word {
+		e.wordPivotRec(lowBits(inC), lowBits(len(common))&^lowBits(inC))
+		return
+	}
 	C := e.setArena.Get()
 	X := e.setArena.Get()
 	for j := range common {

@@ -92,19 +92,11 @@ func (e *engine) edgeRec(C, X bitset.Set, maxRank int32, depth int) {
 
 	// Early termination: the candidate graph is dense enough and carries no
 	// masked edge iff every candidate's G-degree equals its H-degree.
-	if e.opts.ET > 0 && minG >= cSize-e.opts.ET {
-		e.stats.PlexBranches++
-		if X.IsEmpty() && edgeDegreesMatch(e, C, hDeg) {
-			before := e.stats.Cliques + e.stats.SuppressedLeaves
-			if e.emitPlexDirect(C, cSize) {
-				e.stats.EarlyTerminations++
-				e.stats.ETCliques += (e.stats.Cliques + e.stats.SuppressedLeaves) - before
-				e.setArena.Release(mark)
-				e.cntArena.release(imark)
-				e.edgeBuf = e.edgeBuf[:edgeBase]
-				return
-			}
-		}
+	if e.plexBranch(cSize, minG) && X.IsEmpty() && edgeDegreesMatch(e, C, hDeg) && e.emitPlexDirect(C, cSize) {
+		e.setArena.Release(mark)
+		e.cntArena.release(imark)
+		e.edgeBuf = e.edgeBuf[:edgeBase]
+		return
 	}
 
 	slices.SortFunc(edges, func(x, y localEdge) int { return int(x.rank - y.rank) })

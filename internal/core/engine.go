@@ -45,6 +45,10 @@ type engine struct {
 	adjH       []bitset.Set // masked adjacency (edge rank > branch base rank)
 	masked     bool
 
+	// Full and masked rows of a universe of at most 64 members, one word
+	// each (wordrec.go).
+	wordG, wordH [64]uint64
+
 	rowArena *bitset.Arena // adjacency rows; reset per top-level branch
 	setArena *bitset.Arena // recursion sets; mark/release per node
 	cntArena i32Arena      // per-level int32 scratch; mark/release per node
@@ -200,19 +204,24 @@ func (e *engine) installUniverse(vs []int32, baseRank int32, rowCount int) int64
 			degSum += int64(e.g.Degree(v))
 		}
 	}
-	for i := range vs {
+	e.carveRows(rowCount)
+	return degSum
+}
+
+// carveRows gives the first rowCount universe members zeroed arena rows
+// (masked ones too in a masked universe) and the rest none.
+//
+//hbbmc:noalloc
+func (e *engine) carveRows(rowCount int) {
+	for i := range e.verts {
+		e.adjG[i], e.adjH[i] = nil, nil
 		if i < rowCount {
 			e.adjG[i] = e.rowArena.Get()
-		} else {
-			e.adjG[i] = nil
-		}
-		if e.masked && i < rowCount {
-			e.adjH[i] = e.rowArena.Get()
-		} else {
-			e.adjH[i] = nil
+			if e.masked {
+				e.adjH[i] = e.rowArena.Get()
+			}
 		}
 	}
-	return degSum
 }
 
 // fillRowsFromIncidence builds the candidate rows of an edge branch from
@@ -225,13 +234,9 @@ func (e *engine) installUniverse(vs []int32, baseRank int32, rowCount int) int64
 //hbbmc:noalloc
 func (e *engine) fillRowsFromIncidence(baseRank int32, rowCount int) {
 	for i := 0; i < rowCount; i++ {
-		w := e.verts[i]
 		rowG := e.adjG[i]
 		rowH := e.adjH[i]
-		se := e.sideBuf[i]
-		_, dst := e.g.EdgeEndpoints(se)
-		wIsDst := w == dst
-		lo, hi := e.inc.Range(se)
+		lo, hi, wIsDst := e.sideRange(i)
 		for t := lo; t < hi; t++ {
 			third := e.inc.Third(t)
 			if !e.univ.Has(int(third)) {
@@ -239,17 +244,27 @@ func (e *engine) fillRowsFromIncidence(baseRank int32, rowCount int) {
 			}
 			j := e.localOf(third)
 			rowG.Set(int(j))
-			var wx int32
+			wx := e.inc.CoSrc(t)
 			if wIsDst {
 				wx = e.inc.CoDst(t)
-			} else {
-				wx = e.inc.CoSrc(t)
 			}
 			if e.eo.Rank[wx] > baseRank {
 				rowH.Set(int(j))
 			}
 		}
 	}
+}
+
+// sideRange returns the incidence range of member i's side edge (s,w) and
+// whether w is its destination, in which case a triangle's CoDst names
+// the edge (w,x) that carries the mask rank; otherwise CoSrc does.
+//
+//hbbmc:noalloc
+func (e *engine) sideRange(i int) (lo, hi int32, wIsDst bool) {
+	se := e.sideBuf[i]
+	_, dst := e.g.EdgeEndpoints(se)
+	lo, hi = e.inc.Range(se)
+	return lo, hi, e.verts[i] == dst
 }
 
 //
@@ -394,35 +409,33 @@ func (e *engine) emitSet(set bitset.Set) {
 //
 //hbbmc:noalloc
 func (e *engine) tryEarlyTerminate(adjH []bitset.Set, C, X bitset.Set, cSize, minDeg int) bool {
+	if !e.plexBranch(cSize, minDeg) || !X.IsEmpty() {
+		return false
+	}
+	t0 := e.now()
+	// A masked candidate edge would make cliques of G[C] differ from
+	// cliques of the branch's candidate graph; the construction only
+	// applies when the two adjacencies agree on C. Masked rows are subsets
+	// of the full rows, so agreement is exactly "no masked candidate edge"
+	// — one word-level XOR pass instead of two popcount passes per
+	// candidate.
+	closed := (adjH == nil || !e.maskedEdgesIn(adjH, C)) && e.emitPlexDirect(C, cSize)
+	e.addET(t0)
+	return closed
+}
+
+// plexBranch is the t-plex test of early termination (b of Table V): a
+// branch whose cSize candidates have minimum degree minDeg inside C is
+// counted, and qualifies for the construction once its exclusion set is
+// empty too.
+//
+//hbbmc:noalloc
+func (e *engine) plexBranch(cSize, minDeg int) bool {
 	t := e.opts.ET
 	if t == 0 || cSize == 0 || minDeg < cSize-t {
 		return false
 	}
-	// b of Table V: the candidate graph is a t-plex.
 	e.stats.PlexBranches++
-	if !X.IsEmpty() {
-		return false
-	}
-	t0 := e.now()
-	if adjH != nil && e.maskedEdgesIn(adjH, C) {
-		// A masked candidate edge would make cliques of G[C] differ from
-		// cliques of the branch's candidate graph; the construction only
-		// applies when the two adjacencies agree on C. Masked rows are
-		// subsets of the full rows, so agreement is exactly "no masked
-		// candidate edge" — one word-level XOR pass instead of two
-		// popcount passes per candidate.
-		e.addET(t0)
-		return false
-	}
-	before := e.stats.Cliques + e.stats.SuppressedLeaves
-	if !e.emitPlexDirect(C, cSize) {
-		// Defensive: unreachable when the t ≤ 3 plex check passed.
-		e.addET(t0)
-		return false
-	}
-	e.stats.EarlyTerminations++
-	e.stats.ETCliques += (e.stats.Cliques + e.stats.SuppressedLeaves) - before
-	e.addET(t0)
 	return true
 }
 

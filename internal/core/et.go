@@ -25,28 +25,16 @@ import (
 //
 //hbbmc:noalloc
 func (e *engine) emitPlexDirect(C bitset.Set, cSize int) bool {
-	k := len(e.verts)
-	if cap(e.compA) < k { //hbbmc:allowalloc amortised growth to the largest universe seen
-		e.compA = make([]int32, k)
-		e.compB = make([]int32, k)
-		e.compVisited = make([]bool, k)
-	}
-	e.compA = e.compA[:k]
-	e.compB = e.compB[:k]
-	e.compVisited = e.compVisited[:k]
-
+	e.beginComplement()
 	mark := e.setArena.Mark()
 	tmp := e.setArena.Get()
 
 	// Every caller has just filled cntBuf for this C (see ensureCnt sites).
-	e.fBuf = e.fBuf[:0]
-	e.nonF = e.nonF[:0]
 	for wi, cw := range C {
 		base := wi * 64
 		for ; cw != 0; cw &= cw - 1 {
 			v := base + bits.TrailingZeros64(cw)
-			cnt := int(e.cntBuf[v])
-			if cnt == cSize-1 {
+			if int(e.cntBuf[v]) == cSize-1 {
 				e.fBuf = append(e.fBuf, int32(v))
 				continue
 			}
@@ -58,14 +46,74 @@ func (e *engine) emitPlexDirect(C bitset.Set, cSize int) bool {
 				return false
 			}
 			first := tmp.First()
-			second := tmp.NextAfter(first)
-			e.compA[v] = int32(first)
-			e.compB[v] = int32(second) // -1 when complement degree is 1
-			e.compVisited[v] = false
-			e.nonF = append(e.nonF, int32(v))
+			e.addComplement(v, first, tmp.NextAfter(first))
 		}
 	}
+	e.setArena.Release(mark)
+	e.emitComplement()
+	return true
+}
 
+// emitPlexWord is emitPlexDirect for a one-word universe (wordrec.go): a
+// candidate's complement neighbors are C &^ row &^ itself.
+//
+//hbbmc:noalloc
+func (e *engine) emitPlexWord(C uint64) bool {
+	e.beginComplement()
+	for cw := C; cw != 0; cw &= cw - 1 {
+		v := bits.TrailingZeros64(cw)
+		comp := C &^ e.wordG[v] &^ (1 << v)
+		switch bits.OnesCount64(comp) {
+		case 0:
+			e.fBuf = append(e.fBuf, int32(v))
+		case 1:
+			e.addComplement(v, bits.TrailingZeros64(comp), -1)
+		case 2:
+			e.addComplement(v, bits.TrailingZeros64(comp), 63-bits.LeadingZeros64(comp))
+		default:
+			return false
+		}
+	}
+	e.emitComplement()
+	return true
+}
+
+// beginComplement empties the decomposition buffers and sizes the
+// per-vertex complement tables to the universe.
+//
+//hbbmc:noalloc
+func (e *engine) beginComplement() {
+	k := len(e.verts)
+	if cap(e.compA) < k { //hbbmc:allowalloc amortised growth to the largest universe seen
+		e.compA = make([]int32, k)
+		e.compB = make([]int32, k)
+		e.compVisited = make([]bool, k)
+	}
+	e.compA = e.compA[:k]
+	e.compB = e.compB[:k]
+	e.compVisited = e.compVisited[:k]
+	e.fBuf = e.fBuf[:0]
+	e.nonF = e.nonF[:0]
+}
+
+// addComplement records candidate v's one or two complement neighbors
+// (second is -1 when there is one).
+//
+//hbbmc:noalloc
+func (e *engine) addComplement(v, first, second int) {
+	e.compA[v] = int32(first)
+	e.compB[v] = int32(second)
+	e.compVisited[v] = false
+	e.nonF = append(e.nonF, int32(v))
+}
+
+// emitComplement walks the complement decomposition recorded by
+// addComplement into paths and cycles, emits S ∪ each maximal clique of
+// the t-plex and counts the closed branch.
+//
+//hbbmc:noalloc
+func (e *engine) emitComplement() {
+	before := e.stats.Cliques + e.stats.SuppressedLeaves
 	s := &e.plexScratch
 	s.Begin(e.fBuf)
 
@@ -112,6 +160,6 @@ func (e *engine) emitPlexDirect(C bitset.Set, cSize int) bool {
 		s.AddCycle(e.walkBuf)
 	}
 	s.Emit(e.etEmit)
-	e.setArena.Release(mark)
-	return true
+	e.stats.EarlyTerminations++
+	e.stats.ETCliques += (e.stats.Cliques + e.stats.SuppressedLeaves) - before
 }

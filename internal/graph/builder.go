@@ -117,32 +117,10 @@ func FromEdges(n int, edges []Edge) (*Graph, error) {
 		g.eids[cursor[e.V]] = int32(i)
 		cursor[e.V]++
 	}
-	// Edges are inserted in lexicographic order of (min,max); each vertex's
-	// list of larger neighbors is therefore sorted, but the earlier smaller
-	// neighbors are interleaved. Sort each adjacency slice with its edge ids.
-	for v := 0; v < n; v++ {
-		lo, hi := g.offsets[v], g.offsets[v+1]
-		sortAdj(g.adj[lo:hi], g.eids[lo:hi])
-	}
+	// Edges are inserted in lexicographic order of (min,max), so each
+	// vertex's list holds its smaller neighbors in ascending order, followed
+	// by its larger ones in ascending order: every list is already sorted.
 	return g, nil
-}
-
-// sortAdj sorts the neighbor slice ascending, permuting ids identically.
-func sortAdj(nb, ids []int32) {
-	s := adjSorter{nb, ids}
-	sort.Sort(s)
-}
-
-type adjSorter struct {
-	nb  []int32
-	ids []int32
-}
-
-func (s adjSorter) Len() int           { return len(s.nb) }
-func (s adjSorter) Less(i, j int) bool { return s.nb[i] < s.nb[j] }
-func (s adjSorter) Swap(i, j int) {
-	s.nb[i], s.nb[j] = s.nb[j], s.nb[i]
-	s.ids[i], s.ids[j] = s.ids[j], s.ids[i]
 }
 
 // InducedSubgraph returns the subgraph induced by the given vertices together
