@@ -128,7 +128,7 @@ func main() {
 		queueWait    = flag.Duration("queue-wait", 2*time.Second, "admission wait before a saturated request gets 429")
 		queueLen     = flag.Int("queue-len", 0, "admission queue length before immediate 429 (0 = 4×slots)")
 		budget       = flag.String("session-budget", "1GiB", "LRU byte budget for warm sessions (plain bytes or KiB/MiB/GiB)")
-		streamBuffer = flag.Int("stream-buffer", 0, "default per-job clique channel capacity (0 = 1024)")
+		streamBuffer = flag.Int("stream-buffer", 0, "default cliques buffered between the enumeration and the stream, per job (0 = 1024)")
 		jobHistory   = flag.Int("job-history", 0, "terminal jobs retained for status queries (0 = 256)")
 		grace        = flag.Duration("grace", 10*time.Second, "graceful-shutdown bound for cancelling running jobs")
 

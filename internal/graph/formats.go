@@ -320,5 +320,5 @@ func ParseMETIS(data []byte) (*Graph, error) {
 		// mismatch against distinct undirected edges is worth flagging.
 		return nil, fmt.Errorf("graph: METIS header declares %d edges, adjacency lists encode %d", m, len(keys))
 	}
-	return fromSortedKeys(n, keys), nil
+	return FromSortedKeys(n, keys), nil
 }

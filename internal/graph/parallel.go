@@ -96,7 +96,7 @@ func parseEdgeBytes(data []byte, workers, base, minN int) (*Graph, int64, error)
 	if len(keys) > math.MaxInt32 {
 		return nil, 0, fmt.Errorf("graph: %d edges exceed the int32 edge-id space", len(keys))
 	}
-	return fromSortedKeys(n, keys), entries, nil
+	return FromSortedKeys(n, keys), entries, nil
 }
 
 // shardBounds cuts data into at most shards byte ranges, each ending just
@@ -229,13 +229,15 @@ func mergeSorted(a, b, dst []uint64) {
 	copy(dst[k+len(a)-i:], b[j:])
 }
 
-// fromSortedKeys materialises the CSR from sorted unique packed edge keys
+// FromSortedKeys materialises the CSR from sorted unique packed edge keys
 // (u<<32|v with u < v < n). Scattering in global lexicographic key order
 // leaves every adjacency slice sorted — for vertex x, edges (u,x) with u<x
 // all precede edges (x,w) and both runs arrive in ascending order — so no
 // per-vertex sort is needed, and edge id i is the i-th key, exactly the rank
-// FromEdges assigns.
-func fromSortedKeys(n int, keys []uint64) *Graph {
+// FromEdges assigns. The keys are not checked: a caller that already holds
+// them in order (a parser's merge, a relabelled subgraph) skips FromEdges'
+// copy, sort and deduplication.
+func FromSortedKeys(n int, keys []uint64) *Graph {
 	m := len(keys)
 	g := &Graph{
 		offsets: make([]int64, n+1),

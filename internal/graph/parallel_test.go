@@ -180,9 +180,9 @@ func TestFromSortedKeysMatchesFromEdges(t *testing.T) {
 			}
 		}
 		sortKeys(keys)
-		got := fromSortedKeys(n, keys)
+		got := FromSortedKeys(n, keys)
 		if !got.Equal(want) {
-			t.Fatalf("trial %d: fromSortedKeys differs from FromEdges", trial)
+			t.Fatalf("trial %d: FromSortedKeys differs from FromEdges", trial)
 		}
 	}
 }

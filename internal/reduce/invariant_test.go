@@ -1,9 +1,11 @@
 package reduce
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"github.com/graphmining/hbbmc/internal/dataset"
 	"github.com/graphmining/hbbmc/internal/graph"
 )
 
@@ -97,5 +99,40 @@ func TestResidualMappingIsInjective(t *testing.T) {
 		if !g.HasEdge(r.OrigID[u], r.OrigID[v]) {
 			t.Fatalf("residual edge (%d,%d) missing in original", u, v)
 		}
+	}
+}
+
+// TestResidualMatchesBuilder: the residual built from the relabelled edge
+// keys, unsorted, is the graph graph.Builder makes of the same surviving
+// edges — same CSR, same edge ids, same fingerprint — on the 16 stand-ins
+// and on random graphs.
+func TestResidualMatchesBuilder(t *testing.T) {
+	check := func(name string, g *graph.Graph, opts Options) {
+		r := Apply(g, opts)
+		newID := make(map[int32]int32, len(r.OrigID))
+		for i, v := range r.OrigID {
+			newID[v] = int32(i)
+		}
+		b := graph.NewBuilder(len(r.OrigID))
+		for e := int32(0); e < int32(g.NumEdges()); e++ {
+			u, v := g.EdgeEndpoints(e)
+			nu, uok := newID[u]
+			nv, vok := newID[v]
+			if uok && vok {
+				b.AddEdge(nu, nv)
+			}
+		}
+		want := b.MustBuild()
+		if !r.Residual.Equal(want) || r.Residual.Fingerprint() != want.Fingerprint() {
+			t.Fatalf("%s: residual differs from the Builder's graph of the surviving edges", name)
+		}
+	}
+	for _, spec := range dataset.All() {
+		check(spec.Name, spec.Build(), Options{})
+	}
+	rng := rand.New(rand.NewSource(83))
+	for iter := 0; iter < 60; iter++ {
+		n := 1 + rng.Intn(80)
+		check(fmt.Sprintf("random %d", iter), randomGraph(rng, n, rng.Intn(5*n)), Options{MaxDegree: 1 + rng.Intn(5)})
 	}
 }

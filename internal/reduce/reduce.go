@@ -148,20 +148,23 @@ func Apply(g *graph.Graph, opts Options) *Result {
 			res.OrigID = append(res.OrigID, int32(v))
 		}
 	}
-	b := graph.NewBuilder(len(res.OrigID))
+	// Relabelling keeps the survivors' relative order, so walking them in
+	// order over their sorted adjacency yields the residual's edge keys
+	// already sorted and distinct: the CSR needs no sort.
+	keys := make([]uint64, 0, g.NumEdges())
 	res.removedNbrs = make([][]int32, len(res.OrigID))
 	for r, v := range res.OrigID {
 		for _, w := range g.Neighbors(v) {
 			if alive[w] {
 				if newID[w] > int32(r) {
-					b.AddEdge(int32(r), newID[w])
+					keys = append(keys, uint64(r)<<32|uint64(newID[w]))
 				}
 			} else {
 				res.removedNbrs[r] = append(res.removedNbrs[r], w)
 			}
 		}
 	}
-	res.Residual = b.MustBuild()
+	res.Residual = graph.FromSortedKeys(len(res.OrigID), keys)
 	return res
 }
 

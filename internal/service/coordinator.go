@@ -145,9 +145,7 @@ func (s *Server) runCoordinator(ctx context.Context, cancel context.CancelFunc, 
 		}
 		s.jobs.finish(j, stats, runErr, ctx)
 	}
-	if j.cliques != nil {
-		close(j.cliques)
-	}
+	j.cliques.close()
 }
 
 // run verifies the peers, plans the shards and joins the fan-out.
@@ -359,12 +357,10 @@ func (co *coordinator) deliver(ctx context.Context, res *shardResult) {
 			if limit > 0 && co.delivered >= limit {
 				break
 			}
-			select {
-			case co.j.cliques <- streamItem{c: c}:
-				co.delivered++
-			case <-ctx.Done():
+			if !co.j.cliques.put(c, ctx.Done()) {
 				return
 			}
+			co.delivered++
 		}
 	} else if res.stats != nil {
 		co.delivered += res.stats.Cliques

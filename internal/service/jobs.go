@@ -36,20 +36,10 @@ func (s JobState) terminal() bool {
 	return s == StateDone || s == StateStopped || s == StateFailed
 }
 
-// streamItem is one element of a job's clique channel: either a clique on
-// its way to the NDJSON stream, or (ckpt > 0) a checkpoint marker telling
-// the client that every clique of residue + branches [0, ckpt) has been
-// delivered and the watermark is durable — the cursor a reconnecting client
-// hands back as ?resume_after=.
-type streamItem struct {
-	c    []int32
-	ckpt int
-}
-
 // Job is one enumeration or count run against a registered dataset. The
-// mutable fields are guarded by mu; the clique channel is the bounded pipe
-// between the enumeration's Visitor and the NDJSON stream handler — a full
-// channel blocks the workers, which is the service's backpressure.
+// mutable fields are guarded by mu; cliques is the bounded pipe between the
+// enumeration's Visitor and the NDJSON stream handler — a full pipe blocks
+// the workers, which is the service's backpressure.
 type Job struct {
 	ID      string
 	Dataset string
@@ -119,7 +109,7 @@ type Job struct {
 	// it is the signal that reaches a job still waiting in admission.
 	cancelled   chan struct{}
 	cancelOnce  sync.Once
-	cliques     chan streamItem // nil for count jobs
+	cliques     *cliquePipe // nil for the job types without a clique stream
 	streamClaim atomic.Bool
 	delivered   atomic.Int64
 	done        chan struct{} // closed when the state turns terminal
@@ -259,6 +249,8 @@ type jobManager struct {
 	// is recorded and before the done channel closes — the server's
 	// observability hook (latency histograms, trace closure, logging).
 	onTerminal func(*Job)
+	// stall times the blocked puts of every clique pipe this manager creates.
+	stall *obs.Histogram
 }
 
 func newJobManager(maxHistory int, m *metrics) *jobManager {
@@ -286,9 +278,9 @@ func (jm *jobManager) create(dataset, typ string, k int, opts hbbmc.Options, q h
 		done:      make(chan struct{}),
 	}
 	if typ == "enumerate" || typ == "top_k" {
-		// The job types that deliver cliques over /cliques get a stream
-		// channel; the scalar-result types report through Stats instead.
-		j.cliques = make(chan streamItem, buffer)
+		// The job types that deliver cliques over /cliques get a clique
+		// pipe; the scalar-result types report through Stats instead.
+		j.cliques = newCliquePipe(buffer, jm.stall)
 	}
 	jm.jobs[j.ID] = j
 	jm.order = append(jm.order, j.ID)
@@ -439,9 +431,9 @@ func (jm *jobManager) markFailed(j *Job, msg string) {
 }
 
 // finish records a terminal state from the enumeration's outcome. The state
-// and stats are set before the clique channel is closed (the caller closes
-// it after finish returns), so a streaming reader that drains the channel
-// always observes the terminal state.
+// and stats are set before the clique pipe is closed (the caller closes it
+// after finish returns), so a streaming reader that drains the pipe always
+// observes the terminal state.
 func (jm *jobManager) finish(j *Job, stats *hbbmc.Stats, runErr error, ctx context.Context) {
 	state := StateDone
 	reason := ""

@@ -162,10 +162,10 @@ func (s *Server) restoreJob(jr *journal.JobReplay) (*Job, bool) {
 		}
 		j.mu.Unlock()
 		if streaming {
-			// A closed channel: streaming a finished restored job yields
-			// just the trailer, same as streaming any finished job late.
-			j.cliques = make(chan streamItem)
-			close(j.cliques)
+			// A closed pipe: streaming a finished restored job yields just
+			// the trailer, same as streaming any finished job late.
+			j.cliques = newCliquePipe(1, nil)
+			j.cliques.close()
 		}
 		close(j.done)
 		return j, reqOK
@@ -181,7 +181,7 @@ func (s *Server) restoreJob(jr *journal.JobReplay) (*Job, bool) {
 	}
 	j.mu.Unlock()
 	if streaming {
-		j.cliques = make(chan streamItem, s.streamBufferFor(req.Buffer))
+		j.cliques = newCliquePipe(s.streamBufferFor(req.Buffer), s.obs.streamStall)
 	}
 	return j, reqOK
 }
@@ -327,9 +327,7 @@ func (s *Server) stopUnclaimedResume(j *Job, reason string) bool {
 		return false
 	}
 	s.jobs.markStopped(j, reason)
-	if j.cliques != nil {
-		close(j.cliques)
-	}
+	j.cliques.close()
 	return true
 }
 
@@ -345,9 +343,7 @@ func (s *Server) launchResume(j *Job, plan *resumePlan, wait time.Duration) (int
 		j.stats = &hbbmc.Stats{Cliques: plan.base.Cliques, MaxCliqueSize: plan.base.MaxSize}
 		j.mu.Unlock()
 		s.jobs.markStopped(j, "max_cliques")
-		if j.cliques != nil {
-			close(j.cliques)
-		}
+		j.cliques.close()
 		return 0, nil
 	}
 	admCtx := context.Background()
@@ -380,9 +376,7 @@ func (s *Server) launchResume(j *Job, plan *resumePlan, wait time.Duration) (int
 	if err != nil {
 		if reason := j.cancelReason.Load(); reason != nil {
 			s.jobs.markStopped(j, *reason)
-			if j.cliques != nil {
-				close(j.cliques)
-			}
+			j.cliques.close()
 			return 0, nil
 		}
 		s.m.admissionRejected.Add(1)
@@ -474,7 +468,5 @@ func (s *Server) resumeScalar(j *Job) {
 // holds the resume claim (or the job never carried one).
 func (s *Server) failResume(j *Job, err error) {
 	s.jobs.markFailed(j, err.Error())
-	if j.cliques != nil {
-		close(j.cliques)
-	}
+	j.cliques.close()
 }

@@ -51,7 +51,7 @@ type jobRequest struct {
 	Workers    int    `json:"workers"`     // ≤0 = 1, clamped to the slot capacity
 	MaxCliques int64  `json:"max_cliques"` // 0 = unlimited
 	Timeout    string `json:"timeout"`     // Go duration, e.g. "30s"; "" = none
-	Buffer     int    `json:"buffer"`      // stream channel capacity; 0 = server default
+	Buffer     int    `json:"buffer"`      // cliques buffered between the enumeration and the stream; 0 = server default
 	// PhaseTimers opts this job into per-phase timers (universe/pivot/et/
 	// emit), reported in Stats and fed to the mced_phase_seconds histograms;
 	// Config.PhaseTimers turns them on server-wide instead.
@@ -70,9 +70,9 @@ type jobRequest struct {
 	Ordering    string  `json:"ordering,omitempty"`
 }
 
-// streamBufferFor clamps a client-requested stream buffer. The buffer is
-// eagerly allocated, so one request must not be able to force a giant
-// allocation.
+// streamBufferFor clamps a client-requested stream buffer. The job's clique
+// pipe holds up to that many cliques' lines, so one request must not be able
+// to pin a giant buffer.
 func (s *Server) streamBufferFor(requested int) int {
 	const maxStreamBuffer = 1 << 16
 	buffer := requested
@@ -355,23 +355,17 @@ func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 		case j.cancelReason.Load() != nil:
 			// Cancelled while queued: the job never runs.
 			s.jobs.markStopped(j, *j.cancelReason.Load())
-			if j.cliques != nil {
-				close(j.cliques)
-			}
+			j.cliques.close()
 			writeJSON(w, http.StatusOK, j.View())
 		case r.Context().Err() != nil:
 			// The client gave up mid-wait; don't let its impatience read
 			// as saturation in the metrics.
 			s.jobs.markFailed(j, "client disconnected during admission")
-			if j.cliques != nil {
-				close(j.cliques)
-			}
+			j.cliques.close()
 		default:
 			s.m.admissionRejected.Add(1)
 			s.jobs.markFailed(j, fmt.Sprintf("admission: %d worker slots saturated (capacity %d)", workers, s.slots.Capacity()))
-			if j.cliques != nil {
-				close(j.cliques)
-			}
+			j.cliques.close()
 			w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.QueueWait/time.Second)+1))
 			writeJSON(w, http.StatusTooManyRequests, j.View())
 		}
@@ -402,16 +396,15 @@ func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 // enumerateHook builds the BranchDone hook of a journaled enumerate job.
 // It runs on the core's single releasing goroutine, strictly after the
 // cliques of the unit it reports reached the visitor (ordered emission), so
-// it can append a durable checkpoint AND push the matching {"ckpt":W}
-// marker into the same stream with nothing out of order on either side.
+// it can append a durable checkpoint AND put the matching {"ckpt":W}
+// marker into the same pipe with nothing out of order on either side.
 // base seeds the cumulative totals when the run resumes a durable prefix.
-func (s *Server) enumerateHook(ctx context.Context, j *Job, base journal.Ckpt) func(lo, hi int, cliques int64, max int) {
+func (s *Server) enumerateHook(j *Job, base journal.Ckpt) func(lo, hi int, cliques int64, max int) {
 	cum := base.Cliques
 	maxSize := base.MaxSize
 	last := time.Now()
 	prevW := j.Query.BranchLo
 	interval := s.cfg.CheckpointInterval
-	done := ctx.Done()
 	return func(lo, hi int, cliques int64, max int) {
 		cum += cliques
 		if max > maxSize {
@@ -430,10 +423,7 @@ func (s *Server) enumerateHook(ctx context.Context, j *Job, base journal.Ckpt) f
 		j.trace.RecordRange("checkpoint", prevW, hi, last, time.Since(last))
 		prevW = hi
 		last = time.Now()
-		select {
-		case j.cliques <- streamItem{ckpt: hi}:
-		case <-done:
-		}
+		j.cliques.mark(hi)
 	}
 }
 
@@ -499,7 +489,7 @@ func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *Job, 
 			j.Opts.SessionKey(), sess.NumTopBranches())
 		switch j.Mode {
 		case "enumerate":
-			q.BranchDone = s.enumerateHook(ctx, j, base)
+			q.BranchDone = s.enumerateHook(j, base)
 			q.OrderedEmit = true
 		case "count":
 			q.BranchDone = s.countHook(j, base, q.BranchLo)
@@ -517,15 +507,13 @@ func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *Job, 
 	case "top_k":
 		var cliques [][]int32
 		cliques, stats, runErr = sess.TopK(ctx, j.K, q)
-		// The results exist only after the full enumeration; push them into
-		// the stream channel now. The channel may be smaller than k, so a
-		// missing client still exerts backpressure here — bounded by k lines
-		// rather than the whole enumeration.
-		done := ctx.Done()
+		// The results exist only after the full enumeration; put them into
+		// the clique pipe now. The pipe may be smaller than k, so a missing
+		// client still exerts backpressure here — bounded by k lines rather
+		// than the whole enumeration.
 		for _, c := range cliques {
-			select {
-			case j.cliques <- streamItem{c: c}:
-			case <-done:
+			if !j.cliques.put(c, ctx.Done()) {
+				break
 			}
 		}
 	case "kclique_count":
@@ -533,29 +521,11 @@ func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *Job, 
 	default:
 		var visit hbbmc.Visitor
 		if j.cliques != nil {
+			// The bounded pipe is the backpressure: a slow (or absent)
+			// streaming client blocks the enumeration here until it drains
+			// or the job is cancelled.
 			done := ctx.Done()
-			stall := s.obs.streamStall
-			visit = func(c []int32) bool {
-				cp := append([]int32(nil), c...)
-				// The bounded channel is the backpressure: a slow (or absent)
-				// streaming client blocks the enumeration here until it drains
-				// or the job is cancelled. The fast path (buffer has room)
-				// stays un-instrumented; only actual stalls are timed.
-				select {
-				case j.cliques <- streamItem{c: cp}:
-					return true
-				default:
-				}
-				stallStart := time.Now()
-				select {
-				case j.cliques <- streamItem{c: cp}:
-					stall.ObserveDuration(time.Since(stallStart))
-					return true
-				case <-done:
-					stall.ObserveDuration(time.Since(stallStart))
-					return false
-				}
-			}
+			visit = func(c []int32) bool { return j.cliques.put(c, done) }
 		}
 		stats, runErr = sess.EnumerateWith(ctx, q, visit)
 	}
@@ -578,25 +548,9 @@ func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *Job, 
 		}
 		s.jobs.finish(j, stats, runErr, ctx)
 	}
-	if j.cliques != nil {
-		// Closed after the terminal state is recorded, so a reader that
-		// drains the channel observes the final state and stats.
-		close(j.cliques)
-	}
-}
-
-// cliqueLine is one NDJSON record of the stream: the clique's vertex ids.
-type cliqueLine struct {
-	C []int32 `json:"c"`
-}
-
-// ckptLine is a checkpoint marker in the stream: every clique of residue +
-// branches [0, W) has been delivered above this line and the watermark is
-// durable in the journal. A client that loses the connection discards
-// whatever it received after the last marker and reconnects with
-// ?resume_after=W to see the remaining cliques exactly once.
-type ckptLine struct {
-	Ckpt int `json:"ckpt"`
+	// Closed after the terminal state is recorded, so a reader that drains
+	// the pipe observes the final state and stats.
+	j.cliques.close()
 }
 
 // streamTrailer is the stream's final NDJSON record. Stats lets a
@@ -616,11 +570,12 @@ type streamTrailer struct {
 
 // handleStreamCliques streams a job's cliques as NDJSON ({"c":[...]} per
 // line, a {"done":true,...} trailer). Exactly one client may stream a job;
-// the stream delivers every clique exactly once. Output is flushed every
-// flushEvery lines and whenever the producer pauses, so a live client sees
-// cliques promptly without a per-line flush syscall storm. A client
-// disconnect cancels the job — without its one consumer the enumeration
-// would otherwise block on the full channel until the deadline.
+// the stream delivers every clique exactly once. Each wake-up takes every
+// line pending in the job's clique pipe and writes it with one flush, so a
+// live client sees a trickle of cliques promptly and a burst without a
+// per-line flush syscall storm. A client disconnect cancels the job —
+// without its one consumer the enumeration would otherwise block on the
+// full pipe until the deadline.
 //
 //hbbmc:ctxpoll
 func (s *Server) handleStreamCliques(w http.ResponseWriter, r *http.Request) {
@@ -666,7 +621,6 @@ func (s *Server) handleStreamCliques(w http.ResponseWriter, r *http.Request) {
 	}
 
 	drainStart := time.Now()
-	const flushEvery = 64
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
@@ -675,64 +629,31 @@ func (s *Server) handleStreamCliques(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		}
 	}
-	enc := json.NewEncoder(w)
 
 	clientGone := r.Context().Done()
-	pending := 0
-	for {
-		var it streamItem
-		var open bool
-		if pending > 0 {
-			// Drain without blocking while lines are unflushed; flush on
-			// the first pause so a slow producer's cliques are not held
-			// back by the batch threshold.
-			select {
-			case it, open = <-j.cliques:
-			default:
-				flush()
-				pending = 0
-				select {
-				case it, open = <-j.cliques:
-				case <-clientGone:
-					j.requestCancel("client disconnected")
-					return
-				}
-			}
-		} else {
-			select {
-			case it, open = <-j.cliques:
-			case <-clientGone:
-				j.requestCancel("client disconnected")
-				return
-			}
-		}
-		if !open {
-			break
-		}
-		if it.ckpt > 0 {
-			// A checkpoint marker: flushed immediately so the client's
-			// resume cursor is never stuck behind the batch threshold.
-			if err := enc.Encode(ckptLine{Ckpt: it.ckpt}); err != nil {
-				j.requestCancel("client disconnected")
-				return
-			}
-			flush()
-			pending = 0
-			continue
-		}
-		if err := enc.Encode(cliqueLine{C: it.c}); err != nil {
+	var lines []byte
+	for closed := false; !closed; {
+		select {
+		case <-j.cliques.ready:
+		case <-clientGone:
 			j.requestCancel("client disconnected")
 			return
 		}
-		j.delivered.Add(1)
-		s.m.cliquesEmitted.Add(1)
-		if pending++; pending >= flushEvery {
-			flush()
-			pending = 0
+		var n int
+		lines, n, closed = j.cliques.take(lines)
+		if len(lines) == 0 {
+			continue
 		}
+		if _, err := w.Write(lines); err != nil {
+			j.requestCancel("client disconnected")
+			return
+		}
+		flush()
+		j.delivered.Add(int64(n))
+		s.m.cliquesEmitted.Add(int64(n))
 	}
 
-	// The channel closes only after the terminal state is recorded.
+	// The pipe closes only after the terminal state is recorded.
 	<-j.Done()
 	// The drain span covers the whole streaming handler; recorded before the
 	// trailer snapshots the timeline so the client (and a coordinator
@@ -740,7 +661,7 @@ func (s *Server) handleStreamCliques(w http.ResponseWriter, r *http.Request) {
 	j.trace.Record("drain", drainStart, time.Since(drainStart))
 	v := j.View()
 	tv := j.trace.View()
-	_ = enc.Encode(streamTrailer{
+	_ = json.NewEncoder(w).Encode(streamTrailer{
 		Done:       true,
 		State:      v.State,
 		StopReason: v.StopReason,

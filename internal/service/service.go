@@ -80,9 +80,10 @@ type Config struct {
 	// SessionBudget is the LRU byte budget for cached sessions, measured by
 	// Session.MemoryEstimate (0 = 1 GiB).
 	SessionBudget int64
-	// StreamBuffer is the default per-job clique channel capacity; a full
-	// channel blocks the enumeration workers (backpressure) until the
-	// streaming client catches up (0 = 1024).
+	// StreamBuffer is the default number of cliques buffered between the
+	// enumeration and the stream; a full buffer blocks the enumeration
+	// workers (backpressure) until the streaming client catches up
+	// (0 = 1024).
 	StreamBuffer int
 	// MaxJobHistory bounds the retained terminal jobs (0 = 256).
 	MaxJobHistory int
@@ -349,6 +350,7 @@ func New(cfg Config) *Server {
 		started: time.Now(),
 	}
 	s.jobs.onTerminal = s.jobTerminal
+	s.jobs.stall = o.streamStall
 	if len(cfg.Peers) > 0 {
 		s.breakers = newBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown, m)
 	}

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	hbbmc "github.com/graphmining/hbbmc"
+	"github.com/graphmining/hbbmc/internal/dataset"
 	"github.com/graphmining/hbbmc/internal/service"
 )
 
@@ -292,6 +293,48 @@ func TestEnumerateStreamDeliversAllCliques(t *testing.T) {
 	resp, _ := e.do("GET", "/v1/jobs/"+v.ID+"/cliques", nil)
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("second stream = %d, want 409", resp.StatusCode)
+	}
+}
+
+// TestEnumerateStreamBytesMatchEncoder pins the stream's wire format: on
+// every stand-in the serving benchmark registers, a one-worker enumerate
+// job's body before the trailer is byte for byte the json.Encoder lines of
+// the same session's one-worker clique sequence.
+func TestEnumerateStreamBytesMatchEncoder(t *testing.T) {
+	e := newTestEnv(t, service.Config{})
+	for _, name := range []string{"NA", "FB", "WE", "WK", "ST", "DB", "YO"} {
+		spec, ok := dataset.ByName(name)
+		if !ok {
+			t.Fatalf("no stand-in %s", name)
+		}
+		g := spec.Build()
+		e.registerGraph(name, g)
+		sess, err := hbbmc.NewSession(g, hbbmc.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		enc := json.NewEncoder(&want)
+		if _, err := sess.EnumerateWith(context.Background(), hbbmc.QueryOptions{Workers: 1}, func(c []int32) bool {
+			return enc.Encode(struct {
+				C []int32 `json:"c"`
+			}{c}) == nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+
+		v := e.startJob(map[string]any{"dataset": name, "type": "enumerate", "workers": 1})
+		resp, body := e.do("GET", "/v1/jobs/"+v.ID+"/cliques", nil)
+		if resp.StatusCode != http.StatusOK || len(body) == 0 {
+			t.Fatalf("%s: stream %d, %d bytes", name, resp.StatusCode, len(body))
+		}
+		cut := bytes.LastIndexByte(body[:len(body)-1], '\n') + 1
+		if got := body[:cut]; !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("%s: streamed %d bytes before the trailer, json.Encoder wrote %d; they differ", name, len(got), want.Len())
+		}
+		if !bytes.HasPrefix(body[cut:], []byte(`{"done":true,"state":"done"`)) {
+			t.Fatalf("%s: trailer %s", name, body[cut:])
+		}
 	}
 }
 

@@ -168,16 +168,6 @@ func MinDegreeEdgeOrder(g *graph.Graph) EdgeOrder {
 	})
 }
 
-// SupportEdgeOrder orders edges by non-decreasing static support (initial
-// triangle count), a cheaper approximation of the truss ordering retained
-// for ablation experiments.
-func SupportEdgeOrder(g *graph.Graph) EdgeOrder {
-	sup := Supports(g)
-	return orderEdgesBy(g, func(e int32) (int64, int64) {
-		return int64(sup[e]), int64(e)
-	})
-}
-
 func orderEdgesBy(g *graph.Graph, key func(e int32) (int64, int64)) EdgeOrder {
 	m := g.NumEdges()
 	eo := EdgeOrder{

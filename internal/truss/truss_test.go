@@ -155,7 +155,6 @@ func TestAlternativeEdgeOrders(t *testing.T) {
 	}{
 		{"degeneracy", DegeneracyEdgeOrder(g, deg.Pos)},
 		{"mindegree", MinDegreeEdgeOrder(g)},
-		{"support", SupportEdgeOrder(g)},
 	} {
 		if len(tc.eo.Order) != g.NumEdges() {
 			t.Fatalf("%s: order covers %d edges", tc.name, len(tc.eo.Order))

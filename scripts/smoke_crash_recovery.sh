@@ -14,8 +14,11 @@ BIN=${BIN:-bin}
 WORK=$(mktemp -d)
 trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$WORK"' EXIT
 
-# A graph whose stream (throttled below) far outlives the kill window.
-"$BIN/mcegen" -model er -n 3000 -m 150000 -seed 3 -out "$WORK/g.txt" >/dev/null
+# A graph whose stream (throttled below) far outlives the kill window:
+# 559,095 cliques. Loopback socket buffers can hold a few MB of NDJSON
+# ahead of the throttled client, so a smaller stream lets the job finish
+# before the first poll below sees a checkpoint marker.
+"$BIN/mcegen" -model er -n 3000 -m 250000 -seed 3 -out "$WORK/g.txt" >/dev/null
 "$BIN/mce" -in "$WORK/g.txt" -out "$WORK/ref.txt" 2>/dev/null
 WANT=$(wc -l <"$WORK/ref.txt")
 echo "smoke_crash_recovery: reference enumeration has $WANT maximal cliques"
