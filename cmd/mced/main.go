@@ -57,7 +57,7 @@
 //
 // Observability: GET /metrics serves Prometheus text exposition (histograms
 // for job latency, queue wait, per-phase time, stream stall, journal fsync
-// and shard RTT) or, with ?format=json, the flat expvar counters. Every job
+// and shard RTT) or, with ?format=json, the flat mced_ counters. Every job
 // carries a trace timeline readable at GET /v1/jobs/{id}/trace; in
 // coordinator mode the trace ID propagates to workers via a traceparent
 // header so shard spans nest under the coordinator job. -log-level and

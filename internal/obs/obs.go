@@ -1,6 +1,7 @@
 // Package obs is mced's dependency-free observability layer: a metrics
 // registry (counters, gauges, fixed-bucket histograms) rendered in the
-// Prometheus text exposition format, and per-job trace timelines with a
+// Prometheus text exposition format or as a flat JSON object of its
+// unlabelled counters and gauges, and per-job trace timelines with a
 // traceparent-style propagation header for the distributed coordinator.
 //
 // The package is deliberately stdlib-only and hot-path friendly:
@@ -22,6 +23,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -69,7 +72,7 @@ func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // funcMetric is a metric sampled at scrape time — the bridge for values
-// owned elsewhere (expvar counters, Go runtime stats).
+// owned elsewhere (another package's counters, Go runtime stats).
 type funcMetric struct {
 	name, help, label string
 	kind              Kind
@@ -182,6 +185,47 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			write(bw)
 		}
 	}
+	return bw.Flush()
+}
+
+// WriteJSON renders the counters, gauges and sampled metrics whose names
+// start with prefix as one flat JSON object of name → value, keys sorted
+// for stable diffs. Histograms and labelled series have no single flat
+// value and are left out.
+func (r *Registry) WriteJSON(w io.Writer, prefix string) error {
+	r.mu.Lock()
+	counters := append([]*Counter(nil), r.counters...)
+	gauges := append([]*Gauge(nil), r.gauges...)
+	funcs := append([]funcMetric(nil), r.funcs...)
+	r.mu.Unlock()
+
+	values := make(map[string]string)
+	flat := func(name, label string) bool { return label == "" && strings.HasPrefix(name, prefix) }
+	for _, c := range counters {
+		if flat(c.name, c.label) {
+			values[c.name] = strconv.FormatInt(c.Value(), 10)
+		}
+	}
+	for _, g := range gauges {
+		if flat(g.name, g.label) {
+			values[g.name] = strconv.FormatInt(g.Value(), 10)
+		}
+	}
+	for _, fm := range funcs {
+		if flat(fm.name, fm.label) {
+			values[fm.name] = strconv.FormatFloat(fm.fn(), 'f', -1, 64)
+		}
+	}
+	bw := bufio.NewWriter(w)
+	bw.WriteString("{\n")
+	for i, name := range slices.Sorted(maps.Keys(values)) {
+		sep := ","
+		if i == len(values)-1 {
+			sep = ""
+		}
+		fmt.Fprintf(bw, "  %q: %s%s\n", name, values[name], sep)
+	}
+	bw.WriteString("}\n")
 	return bw.Flush()
 }
 

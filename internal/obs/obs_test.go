@@ -108,6 +108,29 @@ func TestWritePrometheus(t *testing.T) {
 	}
 }
 
+// TestWriteJSON checks the flat JSON view: only unlabelled counters,
+// gauges and sampled metrics under the prefix, keys sorted, sampled values
+// in plain decimal (never exponent form, which integer decoders reject).
+func TestWriteJSON(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("t_jobs", "Jobs.", "").Add(7)
+	r.Gauge("t_running", "Running.", "").Set(-2)
+	r.Func("t_bytes", "Bytes.", "", KindCounter, func() float64 { return 2500000 })
+	r.Func("t_ratio", "Ratio.", "", KindGauge, func() float64 { return 1.5 })
+	r.Counter("t_phase", "Labelled.", `phase="pivot"`).Add(1)
+	r.Histogram("t_seconds", "Histogram.", "", []time.Duration{time.Second})
+	r.Counter("other_jobs", "Other prefix.", "").Add(1)
+
+	var sb strings.Builder
+	if err := r.WriteJSON(&sb, "t_"); err != nil {
+		t.Fatal(err)
+	}
+	want := "{\n  \"t_bytes\": 2500000,\n  \"t_jobs\": 7,\n  \"t_ratio\": 1.5,\n  \"t_running\": -2\n}\n"
+	if sb.String() != want {
+		t.Fatalf("WriteJSON:\n%s\nwant\n%s", sb.String(), want)
+	}
+}
+
 // TestGoRuntimeMetrics spot-checks the runtime collector output.
 func TestGoRuntimeMetrics(t *testing.T) {
 	r := NewRegistry()

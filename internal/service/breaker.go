@@ -135,8 +135,11 @@ func (b *breakerSet) states() map[string]string {
 }
 
 // openCount counts the currently open breakers (the mced_peer_breaker_open
-// gauge).
+// gauge); a server without peers has no breaker set and none open.
 func (b *breakerSet) openCount() int64 {
+	if b == nil {
+		return 0
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	var n int64

@@ -3,10 +3,12 @@ package service
 import (
 	"testing"
 	"time"
+
+	"github.com/graphmining/hbbmc/internal/obs"
 )
 
 func TestBreakerTripAndRecover(t *testing.T) {
-	bs := newBreakerSet(3, 40*time.Millisecond, &metrics{})
+	bs := newBreakerSet(3, 40*time.Millisecond, newMetrics(obs.NewRegistry()))
 	const peer = "http://peer-a"
 
 	// Closed: everything is allowed; failures below the threshold keep it so.
@@ -73,7 +75,7 @@ func TestBreakerTripAndRecover(t *testing.T) {
 }
 
 func TestBreakerSuccessResetsFailureStreak(t *testing.T) {
-	bs := newBreakerSet(3, time.Minute, &metrics{})
+	bs := newBreakerSet(3, time.Minute, newMetrics(obs.NewRegistry()))
 	const peer = "http://peer-b"
 	// Interleaved successes keep the consecutive-failure count from ever
 	// reaching the threshold.
@@ -91,7 +93,7 @@ func TestBreakerSuccessResetsFailureStreak(t *testing.T) {
 }
 
 func TestBreakerTracksPeersIndependently(t *testing.T) {
-	m := &metrics{}
+	m := newMetrics(obs.NewRegistry())
 	bs := newBreakerSet(1, time.Minute, m)
 	bs.failure("http://dead")
 	bs.success("http://live")

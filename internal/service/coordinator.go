@@ -98,32 +98,13 @@ func (s *Server) startCoordinatedJob(w http.ResponseWriter, req *jobRequest, ses
 	j.prepTime = sess.PrepTime()
 	j.sharded = true
 	j.mu.Unlock()
-
-	runCtx := context.Background()
-	var cancel context.CancelFunc
-	if timeout > 0 {
-		runCtx, cancel = context.WithTimeout(runCtx, timeout)
-	} else {
-		runCtx, cancel = context.WithCancel(runCtx)
-	}
-	j.mu.Lock()
-	j.cancel = cancel
-	j.mu.Unlock()
-	// A DELETE that landed before j.cancel existed was recorded but not
-	// acted on; honour it now that the context exists.
-	if j.cancelReason.Load() != nil {
-		cancel()
-	}
-	s.jobs.markRunning(j)
-	go s.runCoordinator(runCtx, cancel, j, sess, *req)
+	s.launch(j, timeout, func(ctx context.Context) { s.runCoordinator(ctx, j, sess, *req) })
 	writeJSON(w, http.StatusAccepted, j.View())
 }
 
-// runCoordinator drives one coordinated job to a terminal state, mirroring
-// runJob's outcome handling (minus the slot release — coordinator jobs hold
-// none).
-func (s *Server) runCoordinator(ctx context.Context, cancel context.CancelFunc, j *Job, sess *hbbmc.Session, req jobRequest) {
-	defer cancel()
+// runCoordinator drives one coordinated job's fan-out and concludes it like
+// any other run (minus the slot release — coordinator jobs hold none).
+func (s *Server) runCoordinator(ctx context.Context, j *Job, sess *hbbmc.Session, req jobRequest) {
 	co := &coordinator{
 		s:           s,
 		j:           j,
@@ -137,15 +118,7 @@ func (s *Server) runCoordinator(ctx context.Context, cancel context.CancelFunc, 
 		co.retried.Add(1)
 	}
 	stats, runErr := co.run(ctx)
-	if runErr != nil && stats == nil {
-		s.jobs.markFailed(j, runErr.Error())
-	} else {
-		if j.cliques == nil && stats != nil {
-			s.m.cliquesEmitted.Add(stats.Cliques)
-		}
-		s.jobs.finish(j, stats, runErr, ctx)
-	}
-	j.cliques.close()
+	s.conclude(ctx, j, stats, runErr)
 }
 
 // run verifies the peers, plans the shards and joins the fan-out.

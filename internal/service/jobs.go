@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -35,6 +34,11 @@ const (
 func (s JobState) terminal() bool {
 	return s == StateDone || s == StateStopped || s == StateFailed
 }
+
+// jobTypes lists the queries a job can run; each has its mced_jobs_type_
+// submission counter. enumerate and top_k stream their cliques over
+// /cliques, the others report through Stats.
+var jobTypes = []string{"enumerate", "count", "max_clique", "top_k", "kclique_count"}
 
 // Job is one enumeration or count run against a registered dataset. The
 // mutable fields are guarded by mu; cliques is the bounded pipe between the
@@ -257,20 +261,17 @@ func newJobManager(maxHistory int, m *metrics) *jobManager {
 	return &jobManager{jobs: make(map[string]*Job), maxHistory: maxHistory, m: m}
 }
 
-func (jm *jobManager) create(dataset, typ string, k int, opts hbbmc.Options, q hbbmc.QueryOptions, workers, buffer int, tr *obs.Trace) *Job {
-	if tr == nil {
-		tr = obs.NewTrace()
-	}
-	jm.mu.Lock()
-	jm.seq++
+// newJob builds a queued job, the one constructor of fresh and
+// journal-restored jobs. The job types that deliver cliques over /cliques
+// get a clique pipe of buffer cliques; the scalar-result types report
+// through Stats instead.
+func (jm *jobManager) newJob(id, dataset, typ string, k int, opts hbbmc.Options, buffer int, tr *obs.Trace) *Job {
 	j := &Job{
-		ID:        fmt.Sprintf("j%06d", jm.seq),
+		ID:        id,
 		Dataset:   dataset,
 		Mode:      typ,
 		K:         k,
 		Opts:      opts,
-		Query:     q,
-		Workers:   workers,
 		trace:     tr,
 		state:     StateQueued,
 		created:   time.Now(),
@@ -278,16 +279,22 @@ func (jm *jobManager) create(dataset, typ string, k int, opts hbbmc.Options, q h
 		done:      make(chan struct{}),
 	}
 	if typ == "enumerate" || typ == "top_k" {
-		// The job types that deliver cliques over /cliques get a clique
-		// pipe; the scalar-result types report through Stats instead.
 		j.cliques = newCliquePipe(buffer, jm.stall)
 	}
+	return j
+}
+
+func (jm *jobManager) create(dataset, typ string, k int, opts hbbmc.Options, q hbbmc.QueryOptions, workers, buffer int, tr *obs.Trace) *Job {
+	jm.mu.Lock()
+	jm.seq++
+	j := jm.newJob(fmt.Sprintf("j%06d", jm.seq), dataset, typ, k, opts, buffer, tr)
+	j.Query, j.Workers = q, workers
 	jm.jobs[j.ID] = j
 	jm.order = append(jm.order, j.ID)
 	jm.pruneLocked()
 	jm.mu.Unlock()
 	jm.m.jobsQueued.Add(1)
-	if c := jm.m.jobsByType(typ); c != nil {
+	if c := jm.m.jobsOfType[typ]; c != nil {
 		c.Add(1)
 	}
 	return j
@@ -381,40 +388,18 @@ func (jm *jobManager) list() []*Job {
 	return out
 }
 
-// markRunning moves a queued job to running.
-func (jm *jobManager) markRunning(j *Job) {
-	j.mu.Lock()
-	j.state = StateRunning
-	j.started = time.Now()
-	j.mu.Unlock()
-	jm.m.jobsQueued.Add(-1)
-	jm.m.jobsRunning.Add(1)
-}
-
-// markStopped records a job cancelled before it ever ran (still queued in
-// admission when the cancel landed).
-func (jm *jobManager) markStopped(j *Job, reason string) {
-	j.mu.Lock()
-	j.state = StateStopped
-	j.stopReason = reason
-	j.finished = time.Now()
-	j.mu.Unlock()
-	jm.m.jobsQueued.Add(-1)
-	jm.m.jobsStopped.Add(1)
-	jm.journalTerminal(j)
-	if jm.onTerminal != nil {
-		jm.onTerminal(j)
-	}
-	close(j.done)
-}
-
-// markFailed moves a job to failed from any non-terminal state (admission
-// rejections fail from queued; run errors fail from running).
-func (jm *jobManager) markFailed(j *Job, msg string) {
+// end is the one terminal transition, from queued or running. In order it
+// records the outcome, moves the gauges and the state's counter, journals
+// the terminal record, runs onTerminal, closes done and finally closes the
+// clique pipe — after the state is recorded, so a reader that drains the
+// pipe observes the final state and stats.
+func (jm *jobManager) end(j *Job, state JobState, reason, msg string, stats *hbbmc.Stats) {
 	j.mu.Lock()
 	wasRunning := j.state == StateRunning
-	j.state = StateFailed
+	j.state = state
+	j.stopReason = reason
 	j.errMsg = msg
+	j.stats = stats
 	j.finished = time.Now()
 	j.mu.Unlock()
 	if wasRunning {
@@ -422,51 +407,6 @@ func (jm *jobManager) markFailed(j *Job, msg string) {
 	} else {
 		jm.m.jobsQueued.Add(-1)
 	}
-	jm.m.jobsFailed.Add(1)
-	jm.journalTerminal(j)
-	if jm.onTerminal != nil {
-		jm.onTerminal(j)
-	}
-	close(j.done)
-}
-
-// finish records a terminal state from the enumeration's outcome. The state
-// and stats are set before the clique pipe is closed (the caller closes it
-// after finish returns), so a streaming reader that drains the pipe always
-// observes the terminal state.
-func (jm *jobManager) finish(j *Job, stats *hbbmc.Stats, runErr error, ctx context.Context) {
-	state := StateDone
-	reason := ""
-	msg := ""
-	switch {
-	case runErr == nil:
-		// Complete run; a cancellation that raced the final branch and was
-		// never observed by the driver does not repaint the outcome.
-	case errors.Is(runErr, context.Canceled), errors.Is(runErr, context.DeadlineExceeded),
-		errors.Is(runErr, hbbmc.ErrStopped):
-		state = StateStopped
-		switch {
-		case j.cancelReason.Load() != nil:
-			reason = *j.cancelReason.Load()
-		case errors.Is(runErr, context.DeadlineExceeded) || errors.Is(ctx.Err(), context.DeadlineExceeded):
-			reason = "deadline"
-		case errors.Is(runErr, hbbmc.ErrStopped):
-			reason = "max_cliques"
-		default:
-			reason = "cancelled"
-		}
-	default:
-		state = StateFailed
-		msg = runErr.Error()
-	}
-	j.mu.Lock()
-	j.state = state
-	j.stopReason = reason
-	j.errMsg = msg
-	j.stats = stats
-	j.finished = time.Now()
-	j.mu.Unlock()
-	jm.m.jobsRunning.Add(-1)
 	switch state {
 	case StateDone:
 		jm.m.jobsDone.Add(1)
@@ -480,4 +420,5 @@ func (jm *jobManager) finish(j *Job, stats *hbbmc.Stats, runErr error, ctx conte
 		jm.onTerminal(j)
 	}
 	close(j.done)
+	j.cliques.close()
 }

@@ -7,13 +7,14 @@ import (
 	"time"
 
 	"github.com/graphmining/hbbmc/internal/obs"
+	"github.com/graphmining/hbbmc/internal/service/journal"
 )
 
 // serverObs bundles the server's Prometheus-facing instrumentation: the
-// latency histograms fed by the job lifecycle, the function metrics
-// mirroring the expvar counter set, and the Go runtime collectors. One
-// serverObs belongs to one Server (nothing registers globally), so tests
-// and embedders can run servers side by side with independent scrapes.
+// one registry that renders both views of /metrics, the latency histograms
+// fed by the job lifecycle, and the Go runtime collectors. One serverObs
+// belongs to one Server (nothing registers globally), so tests and
+// embedders can run servers side by side with independent scrapes.
 type serverObs struct {
 	reg *obs.Registry
 
@@ -45,7 +46,7 @@ type serverObs struct {
 // phaseNames indexes serverObs.phases, matching core.Stats.PhaseTimes.
 var phaseNames = [4]string{"universe", "pivot", "et", "emit"}
 
-func newServerObs(m *metrics) *serverObs {
+func newServerObs() *serverObs {
 	r := obs.NewRegistry()
 	o := &serverObs{reg: r}
 	o.jobLatency = r.Histogram("mced_job_duration_seconds",
@@ -66,16 +67,100 @@ func newServerObs(m *metrics) *serverObs {
 		"Write-ahead journal fsync latency per appended record.", "", obs.FineBuckets())
 	o.shardRTT = r.Histogram("mced_shard_rtt_seconds",
 		"Coordinator shard dispatch round-trip time per attempt.", "", obs.FineBuckets())
-	for _, kv := range m.vars() {
-		kind, help := obs.KindCounter, "Cumulative counter from the mced metrics set."
-		if kv.gauge {
-			kind, help = obs.KindGauge, "Gauge from the mced metrics set."
-		}
-		v := kv.v
-		r.Func("mced_"+kv.name, help, "", kind, func() float64 { return float64(v.Value()) })
-	}
 	r.RegisterGoRuntime()
 	return o
+}
+
+// HELP texts of the flat mced_ counters and gauges.
+const (
+	counterHelp = "Cumulative counter from the mced metrics set."
+	gaugeHelp   = "Gauge from the mced metrics set."
+)
+
+// metrics holds the server's flat counters and gauges, native metrics of
+// the server's one registry; /metrics renders them in both views.
+type metrics struct {
+	jobsQueued, jobsRunning           *obs.Gauge
+	jobsDone, jobsStopped, jobsFailed *obs.Counter
+	cliquesEmitted                    *obs.Counter
+	sessionHits, sessionMisses        *obs.Counter
+	sessionEvictions                  *obs.Counter
+	sessionBytes                      *obs.Gauge
+	datasets                          *obs.Gauge
+	admissionRejected                 *obs.Counter
+	// jobsOfType counts submissions per job type, bumped when a job of that
+	// type is created (admitted or not).
+	jobsOfType map[string]*obs.Counter
+	// Coordinator-mode shard accounting: descriptors handed to the fan-out,
+	// re-dispatch attempts (retries and straggler re-splits) and descriptors
+	// that exhausted their retry budget.
+	shardsDispatched, shardsRetried, shardsFailed *obs.Counter
+	// Resume accounting: replays performed, jobs restored from a replay, and
+	// branch schedule positions a resume skipped because a durable
+	// checkpoint already covered them. (The journal's own counters are
+	// sampled at scrape time; see Server.registerSampledMetrics.)
+	journalReplays                            *obs.Counter
+	resumeJobsRestored, resumeBranchesSkipped *obs.Counter
+	// Peer circuit-breaker accounting: failed dispatch outcomes and breaker
+	// trips (the open-breaker gauge is sampled at scrape time).
+	peerFailures, peerBreakerTrips *obs.Counter
+	// Slow-query log accounting: dumps emitted, and dumps suppressed by the
+	// one-per-second sampling rate limit.
+	slowQueries, slowQueriesSuppressed *obs.Counter
+}
+
+// newMetrics registers the flat counters and gauges in r.
+func newMetrics(r *obs.Registry) *metrics {
+	counter := func(name string) *obs.Counter { return r.Counter("mced_"+name, counterHelp, "") }
+	gauge := func(name string) *obs.Gauge { return r.Gauge("mced_"+name, gaugeHelp, "") }
+	m := &metrics{
+		jobsQueued:            gauge("jobs_queued"),
+		jobsRunning:           gauge("jobs_running"),
+		jobsDone:              counter("jobs_done"),
+		jobsStopped:           counter("jobs_stopped"),
+		jobsFailed:            counter("jobs_failed"),
+		cliquesEmitted:        counter("cliques_emitted"),
+		sessionHits:           counter("session_cache_hits"),
+		sessionMisses:         counter("session_cache_misses"),
+		sessionEvictions:      counter("session_cache_evictions"),
+		sessionBytes:          gauge("session_cache_bytes"),
+		datasets:              gauge("datasets"),
+		admissionRejected:     counter("admission_rejected"),
+		jobsOfType:            make(map[string]*obs.Counter, len(jobTypes)),
+		shardsDispatched:      counter("shards_dispatched"),
+		shardsRetried:         counter("shards_retried"),
+		shardsFailed:          counter("shards_failed"),
+		journalReplays:        counter("journal_replays"),
+		resumeJobsRestored:    counter("resume_jobs_restored"),
+		resumeBranchesSkipped: counter("resume_branches_skipped"),
+		peerFailures:          counter("peer_failures"),
+		peerBreakerTrips:      counter("peer_breaker_trips"),
+		slowQueries:           counter("slow_queries"),
+		slowQueriesSuppressed: counter("slow_queries_suppressed"),
+	}
+	for _, typ := range jobTypes {
+		m.jobsOfType[typ] = counter("jobs_type_" + typ)
+	}
+	return m
+}
+
+// registerSampledMetrics registers the flat metrics whose values live
+// outside the registry, sampled at scrape time: the journal's own append
+// counters (zero without a journal) and the number of open peer breakers.
+func (s *Server) registerSampledMetrics() {
+	journalCounter := func(name string, v func(journal.Counters) int64) {
+		s.obs.reg.Func("mced_"+name, counterHelp, "", obs.KindCounter, func() float64 {
+			if s.jnl == nil {
+				return 0
+			}
+			return float64(v(s.jnl.Counters()))
+		})
+	}
+	journalCounter("journal_records_appended", func(c journal.Counters) int64 { return c.Records })
+	journalCounter("journal_bytes_appended", func(c journal.Counters) int64 { return c.Bytes })
+	journalCounter("journal_truncated_tails", func(c journal.Counters) int64 { return c.TruncatedTails })
+	s.obs.reg.Func("mced_peer_breaker_open", gaugeHelp, "", obs.KindGauge,
+		func() float64 { return float64(s.breakers.openCount()) })
 }
 
 // jobTerminal is the jobManager's terminal hook, invoked on every terminal

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -253,5 +254,87 @@ func TestDistributedTracePropagation(t *testing.T) {
 				len(dispatchPeers), len(workerSpanPeers), tv.Spans)
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestMetricsContract pins what dashboards, CI and the smoke scripts read
+// from /metrics after one job of each type: the JSON view's keys are exactly
+// the 31 flat mced_ metrics, every one of them has an exposition sample of
+// the same value, and each family keeps its HELP text and TYPE.
+func TestMetricsContract(t *testing.T) {
+	e := newTestEnv(t, service.Config{})
+	e.registerGraph("er", hbbmc.GenerateER(300, 1500, 14))
+	for _, typ := range []string{"enumerate", "count", "max_clique", "top_k", "kclique_count"} {
+		req := map[string]any{"dataset": "er", "type": typ}
+		if typ == "top_k" || typ == "kclique_count" {
+			req["k"] = 3
+		}
+		v := e.startJob(req)
+		if typ == "enumerate" || typ == "top_k" {
+			streamJob(t, e, v.ID)
+		}
+		if got := e.waitJob(v.ID); got.State != service.StateDone {
+			t.Fatalf("%s job ended %s", typ, got.State)
+		}
+	}
+
+	gauges := map[string]bool{
+		"mced_jobs_queued": true, "mced_jobs_running": true, "mced_session_cache_bytes": true,
+		"mced_datasets": true, "mced_peer_breaker_open": true,
+	}
+	want := []string{
+		"mced_admission_rejected", "mced_cliques_emitted", "mced_datasets",
+		"mced_jobs_done", "mced_jobs_failed", "mced_jobs_queued", "mced_jobs_running",
+		"mced_jobs_stopped", "mced_jobs_type_count", "mced_jobs_type_enumerate",
+		"mced_jobs_type_kclique_count", "mced_jobs_type_max_clique", "mced_jobs_type_top_k",
+		"mced_journal_bytes_appended", "mced_journal_records_appended", "mced_journal_replays",
+		"mced_journal_truncated_tails", "mced_peer_breaker_open", "mced_peer_breaker_trips",
+		"mced_peer_failures", "mced_resume_branches_skipped", "mced_resume_jobs_restored",
+		"mced_session_cache_bytes", "mced_session_cache_evictions", "mced_session_cache_hits",
+		"mced_session_cache_misses", "mced_shards_dispatched", "mced_shards_failed",
+		"mced_shards_retried", "mced_slow_queries", "mced_slow_queries_suppressed",
+	}
+	_, data := e.do("GET", "/metrics?format=json", nil)
+	var flat map[string]json.Number
+	if err := json.Unmarshal(data, &flat); err != nil {
+		t.Fatalf("JSON metrics: %v\n%s", err, data)
+	}
+	var keys []string
+	for k := range flat {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if strings.Join(keys, " ") != strings.Join(want, " ") {
+		t.Fatalf("JSON metric keys\n%v\nwant\n%v", keys, want)
+	}
+	for _, name := range []string{"mced_jobs_done", "mced_jobs_type_enumerate", "mced_jobs_type_kclique_count"} {
+		if n, _ := flat[name].Int64(); n < 1 {
+			t.Errorf("%s = %s after one job of each type, want ≥ 1", name, flat[name])
+		}
+	}
+
+	_, prom := e.do("GET", "/metrics", nil)
+	text := string(prom)
+	samples := make(map[string]string)
+	for _, line := range strings.Split(text, "\n") {
+		if name, value, ok := strings.Cut(line, " "); ok && strings.HasPrefix(name, "mced_") {
+			samples[name] = value
+		}
+	}
+	for _, name := range want {
+		got, err1 := strconv.ParseFloat(samples[name], 64)
+		jv, err2 := flat[name].Float64()
+		if err1 != nil || err2 != nil || got != jv {
+			t.Errorf("%s: exposition sample %q, JSON value %s", name, samples[name], flat[name])
+		}
+		kind, help := "counter", "Cumulative counter from the mced metrics set."
+		if gauges[name] {
+			kind, help = "gauge", "Gauge from the mced metrics set."
+		}
+		for _, header := range []string{"# HELP " + name + " " + help, "# TYPE " + name + " " + kind} {
+			if !strings.Contains(text, header+"\n") {
+				t.Errorf("exposition lacks %q", header)
+			}
+		}
 	}
 }

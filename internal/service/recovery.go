@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"runtime"
 	"time"
 
 	hbbmc "github.com/graphmining/hbbmc"
@@ -135,54 +134,36 @@ func (s *Server) restoreJob(jr *journal.JobReplay) (*Job, bool) {
 		opts = hbbmc.DefaultOptions()
 		reqOK = false
 	}
-	j := &Job{
-		ID:      jr.ID,
-		Dataset: req.Dataset,
-		Mode:    typ,
-		K:       req.K,
-		Opts:    opts,
-		// The original trace died with the crashed process; the restored job
-		// gets a fresh timeline covering its resume.
-		trace:     obs.NewTrace(),
-		created:   time.Now(), // submission time is not journaled; restore time stands in
-		cancelled: make(chan struct{}),
-		done:      make(chan struct{}),
-	}
-	streaming := typ == "enumerate" || typ == "top_k"
+	// The original trace died with the crashed process; the restored job
+	// gets a fresh timeline covering its resume. Submission time is not
+	// journaled; restore time stands in.
+	j := s.jobs.newJob(jr.ID, req.Dataset, typ, req.K, opts, s.streamBufferFor(req.Buffer), obs.NewTrace())
 	j.mu.Lock()
-	if jr.Terminal() {
-		j.state = JobState(jr.State)
-		j.stopReason = jr.Reason
-		j.errMsg = jr.Err
-		if len(jr.Stats) > 0 {
-			var st hbbmc.Stats
-			if json.Unmarshal(jr.Stats, &st) == nil {
-				j.stats = &st
-			}
+	defer j.mu.Unlock()
+	if !jr.Terminal() {
+		j.journaled = true
+		j.resume = &resumeState{
+			req:       req,
+			crc:       jr.CRC,
+			branches:  jr.Branches,
+			watermark: jr.Watermark,
+			ckpts:     jr.Ckpts,
 		}
-		j.mu.Unlock()
-		if streaming {
-			// A closed pipe: streaming a finished restored job yields just
-			// the trailer, same as streaming any finished job late.
-			j.cliques = newCliquePipe(1, nil)
-			j.cliques.close()
-		}
-		close(j.done)
 		return j, reqOK
 	}
-	j.state = StateQueued
-	j.journaled = true
-	j.resume = &resumeState{
-		req:       req,
-		crc:       jr.CRC,
-		branches:  jr.Branches,
-		watermark: jr.Watermark,
-		ckpts:     jr.Ckpts,
+	j.state = JobState(jr.State)
+	j.stopReason = jr.Reason
+	j.errMsg = jr.Err
+	if len(jr.Stats) > 0 {
+		var st hbbmc.Stats
+		if json.Unmarshal(jr.Stats, &st) == nil {
+			j.stats = &st
+		}
 	}
-	j.mu.Unlock()
-	if streaming {
-		j.cliques = newCliquePipe(s.streamBufferFor(req.Buffer), s.obs.streamStall)
-	}
+	// History only: streaming a finished restored job yields just the
+	// trailer, same as streaming any finished job late.
+	j.cliques.close()
+	close(j.done)
 	return j, reqOK
 }
 
@@ -255,16 +236,7 @@ func (s *Server) planResume(j *Job, rs *resumeState, cursor int) (*resumePlan, b
 		return nil, true, http.StatusConflict,
 			fmt.Errorf("resume %s: cursor %d exceeds the session's %d top-level branches", j.ID, cursor, branches)
 	}
-	workers := rs.req.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	if max := runtime.GOMAXPROCS(0); workers > max {
-		workers = max
-	}
-	if workers > s.slots.Capacity() {
-		workers = s.slots.Capacity()
-	}
+	workers := s.jobWorkers(rs.req.Workers)
 	q := hbbmc.QueryOptions{
 		Workers:     workers,
 		MaxCliques:  rs.req.MaxCliques,
@@ -326,8 +298,7 @@ func (s *Server) stopUnclaimedResume(j *Job, reason string) bool {
 	if rs == nil {
 		return false
 	}
-	s.jobs.markStopped(j, reason)
-	j.cliques.close()
+	s.jobs.end(j, StateStopped, reason, "", nil)
 	return true
 }
 
@@ -338,77 +309,28 @@ func (s *Server) stopUnclaimedResume(j *Job, reason string) bool {
 // caller holds the resume claim.
 func (s *Server) launchResume(j *Job, plan *resumePlan, wait time.Duration) (int, error) {
 	if plan.budgetDone {
-		j.mu.Lock()
-		j.ckptBase = plan.base
-		j.stats = &hbbmc.Stats{Cliques: plan.base.Cliques, MaxCliqueSize: plan.base.MaxSize}
-		j.mu.Unlock()
-		s.jobs.markStopped(j, "max_cliques")
-		j.cliques.close()
+		s.jobs.end(j, StateStopped, "max_cliques", "",
+			&hbbmc.Stats{Cliques: plan.base.Cliques, MaxCliqueSize: plan.base.MaxSize})
 		return 0, nil
 	}
-	admCtx := context.Background()
-	var admCancel context.CancelFunc
-	switch {
-	case wait > 0:
-		admCtx, admCancel = context.WithTimeout(admCtx, wait)
-	case wait == 0:
-		admCtx, admCancel = context.WithCancel(admCtx)
-		admCancel() // no waiting: an immediate grant or nothing
-	default:
-		admCtx, admCancel = context.WithCancel(admCtx)
-	}
-	defer admCancel()
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-j.cancelled:
-			admCancel()
-		case <-watchDone:
-		}
-	}()
-	qStart := time.Now()
-	err := s.slots.Acquire(admCtx, plan.workers)
-	if err == nil && j.cancelReason.Load() != nil {
-		s.slots.Release(plan.workers)
-		err = ErrSaturated
-	}
-	if err != nil {
+	if err := s.admit(context.Background(), j, plan.workers, wait); err != nil {
 		if reason := j.cancelReason.Load(); reason != nil {
-			s.jobs.markStopped(j, *reason)
-			j.cliques.close()
+			s.jobs.end(j, StateStopped, *reason, "", nil)
 			return 0, nil
 		}
 		s.m.admissionRejected.Add(1)
 		return http.StatusTooManyRequests,
 			fmt.Errorf("resume %s: %d worker slots saturated (capacity %d)", j.ID, plan.workers, s.slots.Capacity())
 	}
-
-	runCtx := context.Background()
-	var cancel context.CancelFunc
-	if plan.timeout > 0 {
-		runCtx, cancel = context.WithTimeout(runCtx, plan.timeout)
-	} else {
-		runCtx, cancel = context.WithCancel(runCtx)
-	}
-	queueWait := time.Since(qStart)
-	j.trace.Record("queued", qStart, queueWait)
-	s.obs.queueWait.ObserveDuration(queueWait)
 	j.mu.Lock()
 	j.ckptBase = plan.base
 	j.Query = plan.q
 	j.Workers = plan.workers
 	j.sessionCached = plan.cached
 	j.prepTime = plan.sess.PrepTime()
-	j.queueWait = queueWait
-	j.cancel = cancel
 	j.mu.Unlock()
-	if j.cancelReason.Load() != nil {
-		cancel()
-	}
-	s.jobs.markRunning(j)
 	s.m.resumeBranchesSkipped.Add(int64(plan.cursor))
-	go s.runJob(runCtx, cancel, j, plan.sess)
+	s.launch(j, plan.timeout, func(ctx context.Context) { s.runJob(ctx, j, plan.sess) })
 	return 0, nil
 }
 
@@ -467,6 +389,5 @@ func (s *Server) resumeScalar(j *Job) {
 // failResume marks a restored job as permanently unresumable. The caller
 // holds the resume claim (or the job never carried one).
 func (s *Server) failResume(j *Job, err error) {
-	s.jobs.markFailed(j, err.Error())
-	j.cliques.close()
+	s.jobs.end(j, StateFailed, "", err.Error(), nil)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	hbbmc "github.com/graphmining/hbbmc"
+	"github.com/graphmining/hbbmc/internal/obs"
 )
 
 // writeGraph saves a generated graph as a .hbg snapshot the registry can
@@ -20,7 +21,7 @@ func writeGraph(t *testing.T, dir, name string, g *hbbmc.Graph) string {
 
 func TestRegistrySessionReuseAndKeying(t *testing.T) {
 	dir := t.TempDir()
-	m := &metrics{}
+	m := newMetrics(obs.NewRegistry())
 	r := newRegistry(1<<30, m, nil)
 	g := hbbmc.GenerateER(300, 1500, 1)
 	if _, err := r.Register("er", writeGraph(t, dir, "er", g), "auto"); err != nil {
@@ -64,7 +65,7 @@ func TestRegistrySessionReuseAndKeying(t *testing.T) {
 
 func TestRegistryLRUEviction(t *testing.T) {
 	dir := t.TempDir()
-	m := &metrics{}
+	m := newMetrics(obs.NewRegistry())
 	g := hbbmc.GenerateER(400, 2000, 2)
 	path := writeGraph(t, dir, "er", g)
 
@@ -120,7 +121,7 @@ func TestRegistryLRUEviction(t *testing.T) {
 // entries, not stop at the tail and leave the budget exceeded forever.
 func TestRegistryEvictSkipsJustBuiltAtTail(t *testing.T) {
 	dir := t.TempDir()
-	m := &metrics{}
+	m := newMetrics(obs.NewRegistry())
 	r := newRegistry(1<<30, m, nil)
 	g := hbbmc.GenerateER(300, 1200, 5)
 	if _, err := r.Register("er", writeGraph(t, dir, "er", g), "auto"); err != nil {
@@ -158,7 +159,7 @@ func TestRegistryEvictSkipsJustBuiltAtTail(t *testing.T) {
 // others) rather than thrashing.
 func TestRegistryOversizedSessionStillServes(t *testing.T) {
 	dir := t.TempDir()
-	m := &metrics{}
+	m := newMetrics(obs.NewRegistry())
 	r := newRegistry(1, m, nil) // 1 byte: everything is oversized
 	g := hbbmc.GenerateER(200, 800, 3)
 	if _, err := r.Register("er", writeGraph(t, dir, "er", g), "auto"); err != nil {

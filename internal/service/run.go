@@ -3,10 +3,12 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
 	"time"
 
@@ -146,9 +148,7 @@ func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "type %q and mode %q disagree", req.Type, req.Mode)
 		return
 	}
-	switch typ {
-	case "enumerate", "count", "max_clique", "top_k", "kclique_count":
-	default:
+	if !slices.Contains(jobTypes, typ) {
 		writeError(w, http.StatusBadRequest,
 			"invalid type %q (enumerate, count, max_clique, top_k or kclique_count)", typ)
 		return
@@ -266,19 +266,7 @@ func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Clamp to what the job can actually use: the core driver never runs
-	// more than GOMAXPROCS goroutines, so holding more slots than that
-	// would starve other jobs off an idle machine.
-	workers := req.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	if max := runtime.GOMAXPROCS(0); workers > max {
-		workers = max
-	}
-	if workers > s.slots.Capacity() {
-		workers = s.slots.Capacity()
-	}
+	workers := s.jobWorkers(req.Workers)
 	q := hbbmc.QueryOptions{
 		Workers:     workers,
 		MaxCliques:  req.MaxCliques,
@@ -313,84 +301,148 @@ func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 
 	// Admission: hold the request while slots are busy, bounded by the
 	// configured queue wait; saturation is a 429, never an oversubscribed
-	// run. A DELETE landing while the job is queued here aborts the wait
-	// through j.cancelled; a client disconnect aborts it through
-	// r.Context(). Neither counts as saturation.
-	admCtx := r.Context()
-	var admCancel context.CancelFunc
-	if s.cfg.QueueWait > 0 {
-		admCtx, admCancel = context.WithTimeout(admCtx, s.cfg.QueueWait)
-	} else {
-		admCtx, admCancel = context.WithCancel(admCtx)
-		admCancel() // no waiting: an immediate grant or nothing
-	}
-	defer admCancel()
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-j.cancelled:
-			admCancel()
-		case <-watchDone:
-		}
-	}()
-	qStart := time.Now()
-	err = s.slots.Acquire(admCtx, workers)
-	if err == nil {
-		wait := time.Since(qStart)
-		j.mu.Lock()
-		j.queueWait = wait
-		j.mu.Unlock()
-		j.trace.Record("queued", qStart, wait)
-		s.obs.queueWait.ObserveDuration(wait)
-	}
-	if err == nil && j.cancelReason.Load() != nil {
-		// Cancelled in the instant between the grant and here: give the
-		// slots straight back and take the stopped path below.
-		s.slots.Release(workers)
-		err = ErrSaturated
-	}
-	if err != nil {
+	// run. A DELETE landing while the job is queued aborts the wait, and so
+	// does a client disconnect (r.Context()); neither counts as saturation.
+	if err := s.admit(r.Context(), j, workers, s.cfg.QueueWait); err != nil {
 		switch {
 		case j.cancelReason.Load() != nil:
 			// Cancelled while queued: the job never runs.
-			s.jobs.markStopped(j, *j.cancelReason.Load())
-			j.cliques.close()
+			s.jobs.end(j, StateStopped, *j.cancelReason.Load(), "", nil)
 			writeJSON(w, http.StatusOK, j.View())
 		case r.Context().Err() != nil:
 			// The client gave up mid-wait; don't let its impatience read
 			// as saturation in the metrics.
-			s.jobs.markFailed(j, "client disconnected during admission")
-			j.cliques.close()
+			s.jobs.end(j, StateFailed, "", "client disconnected during admission", nil)
 		default:
 			s.m.admissionRejected.Add(1)
-			s.jobs.markFailed(j, fmt.Sprintf("admission: %d worker slots saturated (capacity %d)", workers, s.slots.Capacity()))
-			j.cliques.close()
+			s.jobs.end(j, StateFailed, "",
+				fmt.Sprintf("admission: %d worker slots saturated (capacity %d)", workers, s.slots.Capacity()), nil)
 			w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.QueueWait/time.Second)+1))
 			writeJSON(w, http.StatusTooManyRequests, j.View())
 		}
 		return
 	}
+	s.launch(j, timeout, func(ctx context.Context) { s.runJob(ctx, j, sess) })
+	writeJSON(w, http.StatusAccepted, j.View())
+}
 
-	runCtx := context.Background()
+// jobWorkers clamps a requested worker count to at least one and at most
+// GOMAXPROCS and the slot capacity: the core driver never runs more than
+// GOMAXPROCS goroutines, so holding more slots than that would starve
+// other jobs off an idle machine.
+func (s *Server) jobWorkers(requested int) int {
+	return max(1, min(requested, runtime.GOMAXPROCS(0), s.slots.Capacity()))
+}
+
+// admit queues j for its worker slots, FIFO behind earlier jobs. wait
+// bounds the queue wait: negative waits until granted, 0 grants immediately
+// or not at all. The wait also ends when parent does (a client request's
+// context) or when the job is cancelled. A grant that a cancel raced is
+// handed straight back. On success the slots are held and the queue wait
+// is recorded (job view, "queued" span, mced_queue_wait_seconds); otherwise
+// it returns ErrSaturated, and the caller tells a cancel (j.cancelReason)
+// from saturation.
+func (s *Server) admit(parent context.Context, j *Job, workers int, wait time.Duration) error {
+	var ctx context.Context
+	var cancel context.CancelFunc
+	if wait > 0 {
+		ctx, cancel = context.WithTimeout(parent, wait)
+	} else {
+		ctx, cancel = context.WithCancel(parent)
+	}
+	defer cancel()
+	if wait == 0 {
+		cancel() // no waiting: an immediate grant or nothing
+	}
+	watchDone := make(chan struct{})
+	defer close(watchDone)
+	go func() {
+		select {
+		case <-j.cancelled:
+			cancel()
+		case <-watchDone:
+		}
+	}()
+	start := time.Now()
+	if err := s.slots.Acquire(ctx, workers); err != nil {
+		return err
+	}
+	if j.cancelReason.Load() != nil {
+		// Cancelled in the instant between the grant and here.
+		s.slots.Release(workers)
+		return ErrSaturated
+	}
+	queued := time.Since(start)
+	j.mu.Lock()
+	j.queueWait = queued
+	j.mu.Unlock()
+	j.trace.Record("queued", start, queued)
+	s.obs.queueWait.ObserveDuration(queued)
+	return nil
+}
+
+// launch starts an admitted (or, for a coordinator job, slot-free) job:
+// it builds the run context, bounded by timeout when positive, marks the
+// job running and calls run on its own goroutine, cancelling the context
+// once run returns.
+func (s *Server) launch(j *Job, timeout time.Duration, run func(ctx context.Context)) {
+	var ctx context.Context
 	var cancel context.CancelFunc
 	if timeout > 0 {
-		runCtx, cancel = context.WithTimeout(runCtx, timeout)
+		ctx, cancel = context.WithTimeout(context.Background(), timeout)
 	} else {
-		runCtx, cancel = context.WithCancel(runCtx)
+		ctx, cancel = context.WithCancel(context.Background())
 	}
 	j.mu.Lock()
 	j.cancel = cancel
+	j.state = StateRunning
+	j.started = time.Now()
 	j.mu.Unlock()
-	// A DELETE that slipped in after the post-Acquire check found j.cancel
-	// still nil and was a no-op; honour it now that the context exists —
-	// the run then stops at its first cancellation poll.
+	// A DELETE that landed before j.cancel existed was recorded but not
+	// acted on; honour it now — the run stops at its first cancellation poll.
 	if j.cancelReason.Load() != nil {
 		cancel()
 	}
-	s.jobs.markRunning(j)
-	go s.runJob(runCtx, cancel, j, sess)
-	writeJSON(w, http.StatusAccepted, j.View())
+	s.m.jobsQueued.Add(-1)
+	s.m.jobsRunning.Add(1)
+	go func() {
+		defer cancel()
+		run(ctx)
+	}()
+}
+
+// conclude ends a job whose run returned. Scalar jobs deliver their
+// cliques as a number, accounted here once the result is known.
+func (s *Server) conclude(ctx context.Context, j *Job, stats *hbbmc.Stats, runErr error) {
+	if j.cliques == nil && stats != nil {
+		s.m.cliquesEmitted.Add(stats.Cliques)
+	}
+	switch {
+	case runErr == nil:
+		// Complete run; a cancellation that raced the final branch and was
+		// never observed by the driver does not repaint the outcome.
+		s.jobs.end(j, StateDone, "", "", stats)
+	case stats != nil && (errors.Is(runErr, context.Canceled) ||
+		errors.Is(runErr, context.DeadlineExceeded) || errors.Is(runErr, hbbmc.ErrStopped)):
+		s.jobs.end(j, StateStopped, stopReason(ctx, j, runErr), "", stats)
+	default:
+		// Any other error fails the job, and so does one that left no Stats.
+		s.jobs.end(j, StateFailed, "", runErr.Error(), stats)
+	}
+}
+
+// stopReason names why a run stopped early: the first requestCancel
+// reason, else the job's deadline, else its clique budget.
+func stopReason(ctx context.Context, j *Job, runErr error) string {
+	switch {
+	case j.cancelReason.Load() != nil:
+		return *j.cancelReason.Load()
+	case errors.Is(runErr, context.DeadlineExceeded) || errors.Is(ctx.Err(), context.DeadlineExceeded):
+		return "deadline"
+	case errors.Is(runErr, hbbmc.ErrStopped):
+		return "max_cliques"
+	}
+	return "cancelled"
 }
 
 // enumerateHook builds the BranchDone hook of a journaled enumerate job.
@@ -473,10 +525,10 @@ func (s *Server) countHook(j *Job, base journal.Ckpt, lo int) func(lo, hi int, c
 }
 
 // runJob executes one admitted job — dispatching on its type — and always
-// releases its worker slots. Journaled jobs additionally record the
-// running fingerprints and durable branch-progress checkpoints.
-func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *Job, sess *hbbmc.Session) {
-	defer cancel()
+// releases its worker slots before concluding it. Journaled jobs
+// additionally record the running fingerprints and durable branch-progress
+// checkpoints.
+func (s *Server) runJob(ctx context.Context, j *Job, sess *hbbmc.Session) {
 	j.mu.Lock()
 	journaled := j.journaled
 	base := j.ckptBase
@@ -538,19 +590,7 @@ func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *Job, 
 		}
 	}
 	s.slots.Release(j.Workers)
-	if runErr != nil && stats == nil {
-		s.jobs.markFailed(j, runErr.Error())
-	} else {
-		if j.cliques == nil && stats != nil {
-			// Count jobs deliver their cliques as a number; account them
-			// when the result is known.
-			s.m.cliquesEmitted.Add(stats.Cliques)
-		}
-		s.jobs.finish(j, stats, runErr, ctx)
-	}
-	// Closed after the terminal state is recorded, so a reader that drains
-	// the pipe observes the final state and stats.
-	j.cliques.close()
+	s.conclude(ctx, j, stats, runErr)
 }
 
 // streamTrailer is the stream's final NDJSON record. Stats lets a

@@ -14,7 +14,8 @@
 // HTTP API (JSON; see the README's "Serving" section for curl examples):
 //
 //	GET    /healthz                 liveness + uptime
-//	GET    /metrics                 expvar-style counters
+//	GET    /metrics                 Prometheus exposition (?format=json: flat
+//	                                counters and gauges)
 //	GET    /v1/info                 node identity: version, capacity, peers,
 //	                                dataset fingerprints
 //	GET    /v1/datasets             list registered datasets
@@ -52,13 +53,11 @@ package service
 import (
 	"context"
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"log/slog"
 	"net/http"
 	"regexp"
 	"runtime"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -205,104 +204,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// metrics holds the server's expvar counters. The vars are instance-local
-// (never published to the process-global expvar registry) so tests and
-// embedders can run several servers side by side; /metrics renders them.
-type metrics struct {
-	jobsQueued, jobsRunning           expvar.Int // gauges
-	jobsDone, jobsStopped, jobsFailed expvar.Int // cumulative
-	cliquesEmitted                    expvar.Int
-	sessionHits, sessionMisses        expvar.Int
-	sessionEvictions                  expvar.Int
-	sessionBytes                      expvar.Int // gauge
-	datasets                          expvar.Int // gauge
-	admissionRejected                 expvar.Int
-	// Per-type job submission counters, bumped when a job of that type is
-	// created (admitted or not).
-	jobsEnumerate, jobsCount                  expvar.Int
-	jobsMaxClique, jobsTopK, jobsKCliqueCount expvar.Int
-	// Coordinator-mode shard accounting: descriptors handed to the fan-out,
-	// re-dispatch attempts (retries and straggler re-splits) and descriptors
-	// that exhausted their retry budget.
-	shardsDispatched, shardsRetried, shardsFailed expvar.Int
-	// Journal accounting (gauges mirroring journal.Counters, polled at
-	// render time) and resume accounting: replays performed, jobs restored
-	// from a replay, and branch schedule positions a resume skipped because
-	// a durable checkpoint already covered them.
-	journalRecords, journalBytes, journalTruncatedTails expvar.Int
-	journalReplays                                      expvar.Int
-	resumeJobsRestored, resumeBranchesSkipped           expvar.Int
-	// Peer circuit-breaker accounting: failed dispatch outcomes, breaker
-	// trips, and the currently-open breaker count (gauge).
-	peerFailures, peerBreakerTrips, peerBreakerOpen expvar.Int
-	// Slow-query log accounting: dumps emitted, and dumps suppressed by the
-	// one-per-second sampling rate limit.
-	slowQueries, slowQueriesSuppressed expvar.Int
-}
-
-// metricVar is one named entry of the expvar set; gauge distinguishes
-// point-in-time values from cumulative counters for the Prometheus TYPE
-// headers the /metrics exposition emits.
-type metricVar struct {
-	name  string
-	v     *expvar.Int
-	gauge bool
-}
-
-func (m *metrics) vars() []metricVar {
-	return []metricVar{
-		{"jobs_queued", &m.jobsQueued, true},
-		{"jobs_running", &m.jobsRunning, true},
-		{"jobs_done", &m.jobsDone, false},
-		{"jobs_stopped", &m.jobsStopped, false},
-		{"jobs_failed", &m.jobsFailed, false},
-		{"cliques_emitted", &m.cliquesEmitted, false},
-		{"session_cache_hits", &m.sessionHits, false},
-		{"session_cache_misses", &m.sessionMisses, false},
-		{"session_cache_evictions", &m.sessionEvictions, false},
-		{"session_cache_bytes", &m.sessionBytes, true},
-		{"datasets", &m.datasets, true},
-		{"admission_rejected", &m.admissionRejected, false},
-		{"jobs_type_enumerate", &m.jobsEnumerate, false},
-		{"jobs_type_count", &m.jobsCount, false},
-		{"jobs_type_max_clique", &m.jobsMaxClique, false},
-		{"jobs_type_top_k", &m.jobsTopK, false},
-		{"jobs_type_kclique_count", &m.jobsKCliqueCount, false},
-		{"shards_dispatched", &m.shardsDispatched, false},
-		{"shards_retried", &m.shardsRetried, false},
-		{"shards_failed", &m.shardsFailed, false},
-		{"journal_records_appended", &m.journalRecords, false},
-		{"journal_bytes_appended", &m.journalBytes, false},
-		{"journal_truncated_tails", &m.journalTruncatedTails, false},
-		{"journal_replays", &m.journalReplays, false},
-		{"resume_jobs_restored", &m.resumeJobsRestored, false},
-		{"resume_branches_skipped", &m.resumeBranchesSkipped, false},
-		{"peer_failures", &m.peerFailures, false},
-		{"peer_breaker_trips", &m.peerBreakerTrips, false},
-		{"peer_breaker_open", &m.peerBreakerOpen, true},
-		{"slow_queries", &m.slowQueries, false},
-		{"slow_queries_suppressed", &m.slowQueriesSuppressed, false},
-	}
-}
-
-// jobsByType returns the submission counter of one job type (nil for an
-// unknown type, which validation upstream should have rejected).
-func (m *metrics) jobsByType(typ string) *expvar.Int {
-	switch typ {
-	case "enumerate":
-		return &m.jobsEnumerate
-	case "count":
-		return &m.jobsCount
-	case "max_clique":
-		return &m.jobsMaxClique
-	case "top_k":
-		return &m.jobsTopK
-	case "kclique_count":
-		return &m.jobsKCliqueCount
-	}
-	return nil
-}
-
 // Server is the mced HTTP service. Create one with New and mount it as an
 // http.Handler; Shutdown cancels the jobs still running.
 type Server struct {
@@ -332,8 +233,8 @@ type Server struct {
 // is ignored here — use Open for a journaled, crash-recovering server.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	m := &metrics{}
-	o := newServerObs(m)
+	o := newServerObs()
+	m := newMetrics(o.reg)
 	logger := cfg.Logger
 	if logger == nil {
 		logger = slog.New(slog.DiscardHandler)
@@ -354,6 +255,7 @@ func New(cfg Config) *Server {
 	if len(cfg.Peers) > 0 {
 		s.breakers = newBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown, m)
 	}
+	s.registerSampledMetrics()
 	s.routes()
 	return s
 }
@@ -499,38 +401,16 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// handleMetrics renders the metrics in Prometheus text exposition format
+// handleMetrics renders the registry in Prometheus text exposition format
 // (text/plain; version=0.0.4) by default — histograms included — or, when
 // the request asks for JSON (?format=json, or an Accept header naming
-// application/json), the flat expvar counter set the smoke scripts and
-// older tooling consume, keys sorted for stable diffs.
+// application/json), the flat mced_ counters and gauges the smoke scripts
+// and older tooling consume, keys sorted for stable diffs.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	// The journal and breaker counters live outside the expvar set (the
-	// journal is its own package, breaker openness is derived); mirror them
-	// into the gauges just before rendering.
-	if s.jnl != nil {
-		c := s.jnl.Counters()
-		s.m.journalRecords.Set(c.Records)
-		s.m.journalBytes.Set(c.Bytes)
-		s.m.journalTruncatedTails.Set(c.TruncatedTails)
-	}
-	if s.breakers != nil {
-		s.m.peerBreakerOpen.Set(s.breakers.openCount())
-	}
 	if r.URL.Query().Get("format") == "json" ||
 		strings.Contains(r.Header.Get("Accept"), "application/json") {
-		vars := s.m.vars()
-		sort.Slice(vars, func(i, j int) bool { return vars[i].name < vars[j].name })
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		fmt.Fprintln(w, "{")
-		for i, kv := range vars {
-			comma := ","
-			if i == len(vars)-1 {
-				comma = ""
-			}
-			fmt.Fprintf(w, "  %q: %s%s\n", "mced_"+kv.name, kv.v.String(), comma)
-		}
-		fmt.Fprintln(w, "}")
+		_ = s.obs.reg.WriteJSON(w, "mced_")
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Crash-recovery mced smoke: boot a journaled daemon, stream a large
-# enumeration job through a throttled client, kill -9 the daemon
+# Crash-recovery mced smoke: boot a journaled daemon whose checkpoints
+# are slowed down, stream a large enumeration job, kill -9 the daemon
 # mid-stream, restart it on the same journal directory, reconnect with
 # the client's `?resume_after=` cursor, and assert that the kept prefix
 # plus the resumed stream carry the exact clique count with zero
@@ -14,10 +14,7 @@ BIN=${BIN:-bin}
 WORK=$(mktemp -d)
 trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$WORK"' EXIT
 
-# A graph whose stream (throttled below) far outlives the kill window:
-# 559,095 cliques. Loopback socket buffers can hold a few MB of NDJSON
-# ahead of the throttled client, so a smaller stream lets the job finish
-# before the first poll below sees a checkpoint marker.
+# A graph whose stream far outlives the kill window: 559,095 cliques.
 "$BIN/mcegen" -model er -n 3000 -m 250000 -seed 3 -out "$WORK/g.txt" >/dev/null
 "$BIN/mce" -in "$WORK/g.txt" -out "$WORK/ref.txt" 2>/dev/null
 WANT=$(wc -l <"$WORK/ref.txt")
@@ -41,8 +38,14 @@ wait_ready() {
   exit 1
 }
 
-# First life: journal every job, checkpoint after every branch chunk.
-"$BIN/mced" -addr 127.0.0.1:0 -portfile "$WORK/p1" -dataset er="$WORK/g.txt" \
+# First life: journal every job, checkpoint after every branch chunk. An
+# ordered enumerate job appends each chunk's checkpoint from its single
+# releasing goroutine, so delaying every checkpoint append by 100ms paces
+# the stream at one chunk per 100ms: the poll below is satisfied a few
+# seconds in, well before the job can finish, and the SIGKILL lands
+# mid-stream deterministically.
+MCED_CHAOS='journal.ckpt=delay:100ms' \
+  "$BIN/mced" -addr 127.0.0.1:0 -portfile "$WORK/p1" -dataset er="$WORK/g.txt" \
   -journal "$WORK/wal" -checkpoint-interval=-1ns 2>"$WORK/a.log" &
 MCED=$!
 wait_port "$WORK/p1"
@@ -51,9 +54,7 @@ wait_ready "$A"
 
 JOB=$(curl -sf "$A/v1/jobs" -d '{"dataset":"er","mode":"enumerate","workers":2}' | jq -r .id)
 
-# The rate limit keeps the job mid-flight while checkpoint markers
-# accumulate in the client's file, so the SIGKILL lands mid-stream.
-curl -sN --limit-rate 100k "$A/v1/jobs/$JOB/cliques" >"$WORK/partial.ndjson" &
+curl -sN "$A/v1/jobs/$JOB/cliques" >"$WORK/partial.ndjson" &
 CURL=$!
 
 for _ in $(seq 1 300); do
@@ -82,9 +83,10 @@ head -n "$((LAST - 1))" "$WORK/partial.ndjson" | grep '^{"c":' >"$WORK/kept.ndjs
 KEPT=$(wc -l <"$WORK/kept.ndjson")
 echo "smoke_crash_recovery: killed daemon mid-stream — kept $KEPT cliques, cursor $CURSOR"
 
-# Second life: same journal, no -dataset flag — replay restores the
-# dataset registration and the interrupted job. The default checkpoint
-# interval keeps the resumed run from fsyncing on every branch chunk.
+# Second life: same journal, no -dataset flag and no injected delay —
+# replay restores the dataset registration and the interrupted job. The
+# default checkpoint interval keeps the resumed run from fsyncing on every
+# branch chunk.
 "$BIN/mced" -addr 127.0.0.1:0 -portfile "$WORK/p2" \
   -journal "$WORK/wal" 2>"$WORK/b.log" &
 wait_port "$WORK/p2"
