@@ -6,13 +6,14 @@
 //	mce -in graph.txt [-format auto] [-algo hbbmc] [-et 3] [-gr]
 //	    [-d 1] [-edgeorder truss] [-inner pivot] [-out cliques.txt] [-quiet]
 //	    [-workers 1] [-emitbatch 0] [-chunk 0] [-timeout 0] [-maxcliques 0]
-//	    [-save graph.hbg] [-cache] [-phases] [-json]
+//	    [-save graph.hbg] [-cache] [-json]
 //	    [-maxclique | -topk K | -kcliques K]
 //
 // -json replaces the prose summary on stderr with one machine-readable JSON
-// line (durations in nanoseconds, full engine statistics; with -phases, the
-// per-phase timers as a "phases" array). It is printed on the early-stop
-// exits too, so scripts consuming it still see the partial run's numbers.
+// line (durations in nanoseconds, full engine statistics including the
+// work counters, the session's memory estimate). It is printed on the
+// early-stop exits too, so scripts consuming it still see the partial
+// run's numbers.
 //
 // Query flags (mutually exclusive; none = enumerate every maximal clique):
 // -maxclique solves the exact maximum-clique problem and prints the single
@@ -87,8 +88,7 @@ func main() {
 		chunk      = flag.Int("chunk", 0, "fixed branches per work-queue pop (0 = adaptive guided chunking)")
 		timeout    = flag.Duration("timeout", 0, "stop the enumeration after this wall-clock time, keeping partial results (0 = unlimited)")
 		maxCliques = flag.Int64("maxcliques", 0, "stop after this many maximal cliques (0 = unlimited)")
-		phases     = flag.Bool("phases", false, "collect and print per-phase timers (universe build, pivot scans, early termination, emit)")
-		jsonOut    = flag.Bool("json", false, "print the run summary as one JSON line on stderr instead of prose (with -phases, includes per-phase timings)")
+		jsonOut    = flag.Bool("json", false, "print the run summary as one JSON line on stderr instead of prose, with the full statistics")
 		maxClique  = flag.Bool("maxclique", false, "solve the exact maximum-clique problem instead of enumerating")
 		topK       = flag.Int("topk", 0, "print only the k largest maximal cliques, largest first (0 = disabled)")
 		kCliques   = flag.Int("kcliques", 0, "count k-vertex cliques for this k instead of enumerating (0 = disabled)")
@@ -183,7 +183,6 @@ func main() {
 	opts.EmitBatchSize = *emitBatch
 	opts.ParallelChunkSize = *chunk
 	opts.MaxCliques = *maxCliques
-	opts.PhaseTimers = *phases
 
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -277,10 +276,6 @@ func main() {
 			SessionBytes: sess.MemoryEstimate(),
 			Stats:        stats,
 		}
-		if *phases {
-			pt := stats.PhaseTimes()
-			line.Phases = pt[:]
-		}
 		if _, reason := stopStatus(runErr); reason != "" {
 			line.Stopped = reason
 		}
@@ -292,14 +287,6 @@ func main() {
 			*algo, summary, time.Since(start).Round(time.Millisecond),
 			sess.PrepTime().Round(time.Millisecond), stats.EnumTime.Round(time.Millisecond),
 			stats.TopBranches, stats.Calls, stats.EarlyTerminations, stats.PlexBranches, stats.Workers)
-		if *phases {
-			fmt.Fprintf(os.Stderr, "phases: universe=%v pivot=%v et=%v emit=%v (of enumeration %v; phases nest and overlap)\n",
-				stats.UniverseTime.Round(time.Microsecond), stats.PivotTime.Round(time.Microsecond),
-				stats.ETTime.Round(time.Microsecond), stats.EmitTime.Round(time.Microsecond),
-				stats.EnumTime.Round(time.Microsecond))
-			fmt.Fprintf(os.Stderr, "session: memory estimate %.2f MiB (CSR + orderings + triangle incidence)\n",
-				float64(sess.MemoryEstimate())/(1<<20))
-		}
 		if stats.ParallelFallback != "" {
 			fmt.Fprintf(os.Stderr, "mce: parallel run fell back to the sequential driver: %s\n", stats.ParallelFallback)
 		}
@@ -313,19 +300,17 @@ func main() {
 }
 
 // jsonSummary is the -json run report: one line of JSON on stderr. Durations
-// are nanoseconds; Stats carries the engine's full counter set and Phases
-// the per-phase timers when -phases requested them. Stopped names the flag
-// ("-maxcliques", "-timeout") that ended the run early, empty for a complete
-// run.
+// are nanoseconds; Stats carries the engine's full counter set, work
+// counters included. Stopped names the flag ("-maxcliques", "-timeout")
+// that ended the run early, empty for a complete run.
 type jsonSummary struct {
-	Algorithm    string            `json:"algorithm"`
-	Summary      string            `json:"summary"`
-	TotalNS      time.Duration     `json:"total_ns"`
-	PrepNS       time.Duration     `json:"prep_ns"`
-	SessionBytes int64             `json:"session_bytes"`
-	Stats        *hbbmc.Stats      `json:"stats"`
-	Phases       []hbbmc.PhaseTime `json:"phases,omitempty"`
-	Stopped      string            `json:"stopped,omitempty"`
+	Algorithm    string        `json:"algorithm"`
+	Summary      string        `json:"summary"`
+	TotalNS      time.Duration `json:"total_ns"`
+	PrepNS       time.Duration `json:"prep_ns"`
+	SessionBytes int64         `json:"session_bytes"`
+	Stats        *hbbmc.Stats  `json:"stats"`
+	Stopped      string        `json:"stopped,omitempty"`
 }
 
 // stopStatus classifies an early-stop error into its exit code and a

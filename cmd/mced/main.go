@@ -13,7 +13,7 @@
 //	     [-shard-retries N] [-shard-branches N]
 //	     [-breaker-threshold N] [-breaker-cooldown 10s]
 //	     [-log-level info] [-log-format text] [-slow-query 0]
-//	     [-phase-timers] [-debug-addr host:port]
+//	     [-debug-addr host:port]
 //
 // Start the daemon, register a dataset and stream a job:
 //
@@ -56,18 +56,18 @@
 // rejoins the rotation. See the README's "Distributed serving" section.
 //
 // Observability: GET /metrics serves Prometheus text exposition (histograms
-// for job latency, queue wait, per-phase time, stream stall, journal fsync
+// for job latency, queue wait, session build, stream stall, journal fsync
 // and shard RTT) or, with ?format=json, the flat mced_ counters. Every job
 // carries a trace timeline readable at GET /v1/jobs/{id}/trace; in
 // coordinator mode the trace ID propagates to workers via a traceparent
 // header so shard spans nest under the coordinator job. -log-level and
 // -log-format control the structured (log/slog) job logs on stderr;
 // -slow-query logs a sampled timeline for jobs slower than the threshold;
-// -phase-timers enables per-phase timing on every job (also settable per
-// job in the request); -debug-addr opens a second listener serving
-// net/http/pprof and expvar for live profiling, kept off the main API
-// address so profiling endpoints are never exposed to job clients. See the
-// README's "Observability" section.
+// -debug-addr opens a second listener serving net/http/pprof and expvar
+// for live profiling, kept off the main API address so profiling endpoints
+// are never exposed to job clients. A job's view and stream trailer carry
+// its engine Stats, work counters included. See the README's
+// "Observability" section.
 package main
 
 import (
@@ -144,11 +144,10 @@ func main() {
 		breakerThreshold = flag.Int("breaker-threshold", 0, "consecutive peer failures that trip its circuit breaker (0 = 5)")
 		breakerCooldown  = flag.Duration("breaker-cooldown", 0, "quarantine before an open breaker admits a probe shard (0 = 10s)")
 
-		logLevel    = flag.String("log-level", "info", "minimum structured-log level: debug, info, warn or error")
-		logFormat   = flag.String("log-format", "text", "structured-log encoding on stderr: text or json")
-		slowQuery   = flag.Duration("slow-query", 0, "log a sampled trace timeline for jobs slower than this (0 = disabled)")
-		phaseTimers = flag.Bool("phase-timers", false, "collect per-phase timings on every job (jobs can also opt in per request)")
-		debugAddr   = flag.String("debug-addr", "", "separate listener for net/http/pprof and expvar (empty = disabled)")
+		logLevel  = flag.String("log-level", "info", "minimum structured-log level: debug, info, warn or error")
+		logFormat = flag.String("log-format", "text", "structured-log encoding on stderr: text or json")
+		slowQuery = flag.Duration("slow-query", 0, "log a sampled trace timeline for jobs slower than this (0 = disabled)")
+		debugAddr = flag.String("debug-addr", "", "separate listener for net/http/pprof and expvar (empty = disabled)")
 	)
 	flag.Var(&datasets, "dataset", "register a dataset at boot as name=path (repeatable)")
 	flag.Parse()
@@ -193,7 +192,6 @@ func main() {
 		BreakerCooldown:    *breakerCooldown,
 		Logger:             logger,
 		SlowQuery:          *slowQuery,
-		PhaseTimers:        *phaseTimers,
 		BootDatasets:       bootDatasets,
 	})
 	if err != nil {

@@ -78,11 +78,10 @@
 //
 // Per-request variation on a shared session goes through QueryOptions:
 // Session.EnumerateWith and Session.CountWith override the run knobs
-// (worker count, MaxCliques budget, emit batching, phase timers) for one
-// query without rebuilding — or fragmenting the cache of — the
-// preprocessing. Options.SessionKey canonicalises the session-defining
-// fields for exactly this purpose: two Options with equal keys can share
-// one Session.
+// (worker count, MaxCliques budget, emit batching) for one query without
+// rebuilding — or fragmenting the cache of — the preprocessing.
+// Options.SessionKey canonicalises the session-defining fields for exactly
+// this purpose: two Options with equal keys can share one Session.
 //
 // # Cancellation and early stops
 //
@@ -152,13 +151,14 @@
 //     branches at the expensive head, growing chunks toward the cheap tail
 //     — so one late big branch cannot strand the run on a single worker.
 //
-// Options.PhaseTimers makes any query account its hot-path time into
-// Stats.UniverseTime (universe install + adjacency row building),
-// Stats.PivotTime (pivot/degree scans), Stats.ETTime (early-termination
-// checks and plex construction) and Stats.EmitTime (clique delivery); the
-// mce command prints the breakdown under -phases. `go test
-// ./internal/bitset -bench BenchmarkKernel` compares the fused kernels
-// against their composed forms.
+// Every query accounts its hot-path work in counts rather than time:
+// Stats.UniverseEntries and Stats.UniverseBits count the entries walked
+// and the row bits set to build branch-local adjacency rows, and
+// Stats.PivotWords counts the row words the pivot and degree scans
+// intersect with the candidate set. The counters are deterministic at any
+// worker count, and internal/core/testdata/work.golden.json pins them for
+// the 16 stand-ins. `go test ./internal/bitset -bench BenchmarkKernel`
+// compares the fused kernels against their composed forms.
 //
 // # Input formats and the binary snapshot cache
 //

@@ -96,12 +96,8 @@ func LoadBinaryFile(path string) (*Graph, error) { return graph.LoadBinaryFile(p
 type Options = core.Options
 
 // Stats aggregates the counters of one run (clique count, branch counts,
-// early-termination ratios, timings).
+// early-termination ratios, work counters, timings).
 type Stats = core.Stats
-
-// PhaseTime names one per-phase timer of a run; Stats.PhaseTimes returns
-// the four timers (universe, pivot, et, emit) in fixed order.
-type PhaseTime = core.PhaseTime
 
 // MergeStats folds src's per-worker counters into dst — the aggregation the
 // distributed coordinator applies across the Stats of remote branch-range

@@ -233,7 +233,6 @@ func (e *engine) runEdgeBranch(eid int32) {
 			}
 		}
 	}
-	t0 := e.now()
 	word := false
 	if e.switchDepth <= 1 && e.inner == InnerPivot && len(common) <= 64 && !ablateWordKernel {
 		word = e.installWordUniverse(e.listBuf, r, rowCount, inC)
@@ -241,7 +240,6 @@ func (e *engine) runEdgeBranch(eid int32) {
 		e.installUniverse(e.listBuf, r, rowCount)
 		e.fillRowsFromIncidence(r, rowCount)
 	}
-	e.addUniverse(t0)
 	if word {
 		e.wordPivotRec(lowBits(inC), lowBits(len(common))&^lowBits(inC))
 		return
@@ -312,9 +310,9 @@ func (e *engine) resolveTinyBranch(common []commonNeighbor, inC int, r int32) bo
 		// Masked candidate edge (rank ≤ r): both extensions are dominated
 		// in G and the containing cliques belong to the earlier branch.
 	default: // inC == 1: one candidate, one exclusion vertex
-		cand, excl := w1, w2
+		cand := w1
 		if !cand.cand {
-			cand, excl = w2, w1
+			cand = w2
 		}
 		if we < 0 {
 			// The exclusion vertex is not adjacent to the candidate, so it
@@ -323,7 +321,6 @@ func (e *engine) resolveTinyBranch(common []commonNeighbor, inC int, r int32) bo
 			e.emit(nil)
 			e.S = e.S[:len(e.S)-1]
 		}
-		_ = excl
 	}
 	return true
 }

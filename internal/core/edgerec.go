@@ -52,7 +52,6 @@ func (e *engine) edgeRec(C, X bitset.Set, maxRank int32, depth int) {
 	// Collect the candidate-graph edges: pairs inside C with rank > maxRank.
 	edgeBase := len(e.edgeBuf)
 	hDeg := e.cntArena.getZeroed(k)
-	t0 := e.now()
 	cSize, minG := 0, math.MaxInt
 	e.ensureCnt()
 	for wi, cw := range C {
@@ -87,7 +86,7 @@ func (e *engine) edgeRec(C, X bitset.Set, maxRank int32, depth int) {
 			}
 		}
 	}
-	e.addPivot(t0)
+	e.stats.PivotWords += int64(cSize * len(C))
 	edges := e.edgeBuf[edgeBase:]
 
 	// Early termination: the candidate graph is dense enough and carries no

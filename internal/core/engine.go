@@ -46,8 +46,9 @@ type engine struct {
 	masked     bool
 
 	// Full and masked rows of a universe of at most 64 members, one word
-	// each (wordrec.go).
+	// each (wordrec.go); wordRows marks the members whose rows were built.
 	wordG, wordH [64]uint64
+	wordRows     uint64
 
 	rowArena *bitset.Arena // adjacency rows; reset per top-level branch
 	setArena *bitset.Arena // recursion sets; mark/release per node
@@ -74,10 +75,6 @@ type engine struct {
 	// allocate on every early termination.
 	etEmit func([]int32)
 
-	// timed enables the per-phase nanosecond counters in Stats
-	// (Options.PhaseTimers); when false the clock is never read.
-	timed bool
-
 	// Edge-ordering context for EBBMC/HBBMC.
 	eo  truss.EdgeOrder
 	inc *truss.Incidence
@@ -94,7 +91,6 @@ func newEngine(res *graph.Graph, red *reduce.Result, opts Options, stats *Stats,
 		stats:    stats,
 		emitFn:   emit,
 		rc:       rc,
-		timed:    opts.PhaseTimers,
 		local:    make([]uint64, res.NumVertices()),
 		univ:     bitset.New(res.NumVertices()),
 		rowArena: bitset.NewArena(0),
@@ -142,14 +138,12 @@ func (e *engine) bumpEpoch() {
 // degrees) or probing member pairs with binary searches (good for small
 // universes around high-degree hubs).
 func (e *engine) setUniverse(vs []int32, baseRank int32, rowCount int) {
-	t0 := e.now()
 	degSum := e.installUniverse(vs, baseRank, rowCount)
 	if pairwiseCheaper(rowCount, len(vs), degSum) {
 		e.fillRowsPairwise(baseRank, rowCount)
 	} else {
 		e.fillRowsByScan(baseRank, rowCount)
 	}
-	e.addUniverse(t0)
 }
 
 // withXRows is the shared break-even heuristic of the vertex and edge
@@ -237,6 +231,7 @@ func (e *engine) fillRowsFromIncidence(baseRank int32, rowCount int) {
 		rowG := e.adjG[i]
 		rowH := e.adjH[i]
 		lo, hi, wIsDst := e.sideRange(i)
+		set := int64(0)
 		for t := lo; t < hi; t++ {
 			third := e.inc.Third(t)
 			if !e.univ.Has(int(third)) {
@@ -244,6 +239,7 @@ func (e *engine) fillRowsFromIncidence(baseRank int32, rowCount int) {
 			}
 			j := e.localOf(third)
 			rowG.Set(int(j))
+			set++
 			wx := e.inc.CoSrc(t)
 			if wIsDst {
 				wx = e.inc.CoDst(t)
@@ -252,6 +248,8 @@ func (e *engine) fillRowsFromIncidence(baseRank int32, rowCount int) {
 				rowH.Set(int(j))
 			}
 		}
+		e.stats.UniverseEntries += int64(hi - lo)
+		e.stats.UniverseBits += set
 	}
 }
 
@@ -276,6 +274,7 @@ func (e *engine) fillRowsByScan(baseRank int32, rowCount int) {
 		rowH := e.adjH[i]
 		nbrs := e.g.Neighbors(v)
 		eids := e.g.IncidentEdgeIDs(v)
+		set := int64(0)
 		for t, w := range nbrs {
 			// Bitmap first: most neighbors are outside the universe, and the
 			// bit probe stays in cache where the id-map load would miss.
@@ -284,10 +283,13 @@ func (e *engine) fillRowsByScan(baseRank int32, rowCount int) {
 			}
 			j := e.localOf(w)
 			rowG.Set(int(j))
+			set++
 			if e.masked && e.eo.Rank[eids[t]] > baseRank {
 				rowH.Set(int(j))
 			}
 		}
+		e.stats.UniverseEntries += int64(len(nbrs))
+		e.stats.UniverseBits += set
 	}
 }
 
@@ -296,14 +298,17 @@ func (e *engine) fillRowsByScan(baseRank int32, rowCount int) {
 func (e *engine) fillRowsPairwise(baseRank int32, rowCount int) {
 	k := len(e.verts)
 	for i := 0; i < rowCount; i++ {
+		set := int64(0)
 		for j := i + 1; j < k; j++ {
 			eid := e.g.EdgeID(e.verts[i], e.verts[j])
 			if eid < 0 {
 				continue
 			}
 			e.adjG[i].Set(j)
+			set++
 			if j < rowCount {
 				e.adjG[j].Set(i)
+				set++
 			}
 			if e.masked && e.eo.Rank[eid] > baseRank {
 				e.adjH[i].Set(j)
@@ -312,6 +317,8 @@ func (e *engine) fillRowsPairwise(baseRank int32, rowCount int) {
 				}
 			}
 		}
+		e.stats.UniverseEntries += int64(k - 1 - i)
+		e.stats.UniverseBits += set
 	}
 }
 
@@ -365,8 +372,6 @@ func (e *engine) emit(extraLocal []int32) {
 	if e.rc.stopped() {
 		return
 	}
-	t0 := e.now()
-	defer e.addEmit(t0)
 	e.resBuf = append(e.resBuf[:0], e.S...)
 	for _, li := range extraLocal {
 		e.resBuf = append(e.resBuf, e.verts[li])
@@ -412,16 +417,13 @@ func (e *engine) tryEarlyTerminate(adjH []bitset.Set, C, X bitset.Set, cSize, mi
 	if !e.plexBranch(cSize, minDeg) || !X.IsEmpty() {
 		return false
 	}
-	t0 := e.now()
 	// A masked candidate edge would make cliques of G[C] differ from
 	// cliques of the branch's candidate graph; the construction only
 	// applies when the two adjacencies agree on C. Masked rows are subsets
 	// of the full rows, so agreement is exactly "no masked candidate edge"
 	// — one word-level XOR pass instead of two popcount passes per
 	// candidate.
-	closed := (adjH == nil || !e.maskedEdgesIn(adjH, C)) && e.emitPlexDirect(C, cSize)
-	e.addET(t0)
-	return closed
+	return (adjH == nil || !e.maskedEdgesIn(adjH, C)) && e.emitPlexDirect(C, cSize)
 }
 
 // plexBranch is the t-plex test of early termination (b of Table V): a

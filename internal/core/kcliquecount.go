@@ -134,10 +134,8 @@ func (e *engine) runEdgeKBranch(eid int32, k int) {
 	if inC < k-2 {
 		return
 	}
-	t0 := e.now()
 	e.installUniverse(e.listBuf, r, inC)
 	e.fillRowsFromIncidence(r, inC)
-	e.addUniverse(t0)
 	C := e.setArena.Get()
 	for j := 0; j < inC; j++ {
 		C.Set(j)

@@ -236,10 +236,8 @@ func (e *engine) runEdgeMaxBranch(eid int32, mc *mcShared) {
 		e.offerS(mc)
 		return
 	}
-	t0 := e.now()
 	e.installUniverse(e.listBuf, r, inC)
 	e.fillRowsFromIncidence(r, inC)
-	e.addUniverse(t0)
 	C := e.setArena.Get()
 	for j := 0; j < inC; j++ {
 		C.Set(j)

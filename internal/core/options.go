@@ -270,11 +270,6 @@ type Options struct {
 	// branches toward the tail of the ordering, where branch costs are
 	// most skewed. Ignored by the sequential Enumerate.
 	ParallelChunkSize int
-	// PhaseTimers accumulates per-phase nanosecond counters into Stats
-	// (UniverseTime, PivotTime, ETTime, EmitTime). The clock reads add a
-	// few percent to hot branches, so the timers are opt-in; when false
-	// the counters stay zero at no measurable cost.
-	PhaseTimers bool
 }
 
 // Defaults returns the paper's HBBMC++ configuration: hybrid branching with
@@ -340,10 +335,10 @@ func (o Options) normalized() (Options, error) {
 // ET threshold, the reduction settings, the hybrid switch depth, the edge
 // ordering, the inner recursion and the whole-graph guard. Two Options with
 // equal SessionKeys can share one Session; the per-run knobs (Workers,
-// MaxCliques, EmitBatchSize, ParallelChunkSize, PhaseTimers) are excluded —
-// they vary per query through QueryOptions. The key is computed on the
-// normalized options, so default spellings (SwitchDepth 0 vs 1) collide as
-// they should; invalid options yield a key that simply never matches a
+// MaxCliques, EmitBatchSize, ParallelChunkSize) are excluded — they vary
+// per query through QueryOptions. The key is computed on the normalized
+// options, so default spellings (SwitchDepth 0 vs 1) collide as they
+// should; invalid options yield a key that simply never matches a
 // buildable session.
 func (o Options) SessionKey() string {
 	if n, err := o.normalized(); err == nil {

@@ -99,8 +99,7 @@ func (s *Stats) merge(o *Stats) {
 	s.BnBPrunes += o.BnBPrunes
 	s.IncumbentUpdates += o.IncumbentUpdates
 	s.KCliques += o.KCliques
-	s.UniverseTime += o.UniverseTime
-	s.PivotTime += o.PivotTime
-	s.ETTime += o.ETTime
-	s.EmitTime += o.EmitTime
+	s.UniverseEntries += o.UniverseEntries
+	s.UniverseBits += o.UniverseBits
+	s.PivotWords += o.PivotWords
 }

@@ -197,36 +197,6 @@ func TestCostOrderEquivalence(t *testing.T) {
 	}
 }
 
-// TestPhaseTimersPopulate checks that Options.PhaseTimers fills the phase
-// counters and that they stay zero when disabled.
-func TestPhaseTimersPopulate(t *testing.T) {
-	g := gen.NoisyCliques(300, 25, 8, 500, 5)
-	for _, workers := range []int{1, 4} {
-		s, err := NewSession(g, Options{Algorithm: HBBMC, ET: 3, PhaseTimers: true, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, stats, err := s.Count(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.UniverseTime == 0 || stats.PivotTime == 0 {
-			t.Fatalf("workers=%d: phase timers not populated: universe=%v pivot=%v", workers, stats.UniverseTime, stats.PivotTime)
-		}
-	}
-	s, err := NewSession(g, Options{Algorithm: HBBMC, ET: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, stats, err := s.Count(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.UniverseTime != 0 || stats.PivotTime != 0 || stats.ETTime != 0 || stats.EmitTime != 0 {
-		t.Fatalf("phase timers populated although disabled: %+v", stats)
-	}
-}
-
 // BenchmarkPivotScan isolates the fused pivot-selection scan on a dense
 // branch universe.
 func BenchmarkPivotScan(b *testing.B) {

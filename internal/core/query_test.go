@@ -70,30 +70,6 @@ func TestQueryOptionsOverrides(t *testing.T) {
 	}
 }
 
-// TestQueryOptionsPhaseTimers checks that a phase-timer override populates
-// the per-phase counters for that query only.
-func TestQueryOptionsPhaseTimers(t *testing.T) {
-	g := gen.NoisyCliques(150, 12, 6, 300, 9)
-	s, err := NewSession(g, Defaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := s.EnumerateWith(context.Background(), QueryOptions{PhaseTimers: true}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.UniverseTime == 0 {
-		t.Error("PhaseTimers override left UniverseTime at zero")
-	}
-	plain, err := s.Enumerate(context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.UniverseTime != 0 {
-		t.Error("phase timers leaked into a non-timed query")
-	}
-}
-
 func TestSessionMemoryEstimate(t *testing.T) {
 	small := gen.ER(200, 800, 3)
 	big := gen.ER(2000, 16000, 3)
@@ -148,7 +124,6 @@ func TestOptionsSessionKey(t *testing.T) {
 	same.MaxCliques = 100      // per-run knob
 	same.EmitBatchSize = 7     // per-run knob
 	same.ParallelChunkSize = 3 // per-run knob
-	same.PhaseTimers = true    // per-run knob
 	if base.SessionKey() != same.SessionKey() {
 		t.Fatalf("per-run knobs changed the session key:\n%s\n%s", base.SessionKey(), same.SessionKey())
 	}

@@ -1,7 +1,5 @@
 package core
 
-import "time"
-
 // i32Arena carves per-recursion-level []int32 scratch (candidate-degree
 // counts, edge-degree tallies) from one backing slab, mirroring
 // bitset.Arena's mark/release discipline. Unlike a single shared buffer it
@@ -41,42 +39,4 @@ func (a *i32Arena) getZeroed(n int) []int32 {
 	s := a.get(n)
 	clear(s)
 	return s
-}
-
-// Phase clock: when Options.PhaseTimers is set, the engine accumulates
-// nanoseconds per hot-path phase (universe build, pivot scans, early
-// termination, emit) into Stats. When disabled (the default) now() returns
-// the zero time and no clock is read, so the counters cost two predictable
-// branches per phase. Phases nest — an ET closure times the emits it
-// performs — so the counters overlap and do not partition EnumTime.
-
-func (e *engine) now() time.Time {
-	if !e.timed {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-func (e *engine) addUniverse(t0 time.Time) {
-	if e.timed {
-		e.stats.UniverseTime += time.Since(t0)
-	}
-}
-
-func (e *engine) addPivot(t0 time.Time) {
-	if e.timed {
-		e.stats.PivotTime += time.Since(t0)
-	}
-}
-
-func (e *engine) addET(t0 time.Time) {
-	if e.timed {
-		e.stats.ETTime += time.Since(t0)
-	}
-}
-
-func (e *engine) addEmit(t0 time.Time) {
-	if e.timed {
-		e.stats.EmitTime += time.Since(t0)
-	}
 }

@@ -298,9 +298,6 @@ type QueryOptions struct {
 	EmitBatchSize int
 	// ParallelChunkSize overrides Options.ParallelChunkSize when non-zero.
 	ParallelChunkSize int
-	// PhaseTimers enables per-phase timers for this query. It cannot turn
-	// off timers enabled in the session's Options.
-	PhaseTimers bool
 	// BranchDone, when non-nil, observes durable enumeration progress: it is
 	// invoked once per completed unit of top-level work with the unit's
 	// half-open schedule-position interval [lo, hi), the number of cliques
@@ -369,9 +366,6 @@ func (q QueryOptions) apply(base Options) (Options, error) {
 	if q.ParallelChunkSize > 0 {
 		o.ParallelChunkSize = q.ParallelChunkSize
 	}
-	if q.PhaseTimers {
-		o.PhaseTimers = true
-	}
 	if q.BranchLo < 0 || q.BranchHi < q.BranchLo {
 		return o, fmt.Errorf("core: invalid branch range [%d,%d)", q.BranchLo, q.BranchHi)
 	}
@@ -399,9 +393,9 @@ func (q QueryOptions) rng() branchRange {
 }
 
 // EnumerateWith is Enumerate with per-query overrides of the run knobs
-// (worker count, clique budget, emit batching, phase timers). It is the
-// query entry point for services that share one cached Session across
-// requests with different per-request limits.
+// (worker count, clique budget, emit batching). It is the query entry
+// point for services that share one cached Session across requests with
+// different per-request limits.
 func (s *Session) EnumerateWith(ctx context.Context, q QueryOptions, visit Visitor) (*Stats, error) {
 	opts, err := q.apply(s.opts)
 	if err != nil {

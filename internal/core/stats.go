@@ -74,17 +74,19 @@ type Stats struct {
 	//hbbmc:nomerge coordinator wall-clock, measured around the fork/join
 	EnumTime time.Duration `json:"enum_time_ns"`
 
-	// Per-phase counters, populated only when Options.PhaseTimers is set:
-	// UniverseTime covers branch-local universe installation and adjacency
-	// row building, PivotTime the pivot-selection / candidate-degree
-	// scans, ETTime the early-termination checks and plex construction,
-	// EmitTime clique assembly and visitor delivery. Phases nest (an ET
-	// closure times the emits it performs), so they overlap and do not sum
-	// to EnumTime; parallel runs accumulate wall time across workers.
-	UniverseTime time.Duration `json:"universe_time_ns,omitempty"`
-	PivotTime    time.Duration `json:"pivot_time_ns,omitempty"`
-	ETTime       time.Duration `json:"et_time_ns,omitempty"`
-	EmitTime     time.Duration `json:"emit_time_ns,omitempty"`
+	// Work counters: deterministic, always-on counts of the engine's two
+	// row-level costs, for runs that are not stopped early and at any
+	// worker count (Session.MaxClique excepted: its work depends on when
+	// the shared incumbent improves). UniverseEntries counts the
+	// incidence entries, adjacency entries or vertex-pair probes walked to
+	// fill branch-local full adjacency rows, and UniverseBits the row bits
+	// those walks set. PivotWords counts the 64-bit row words intersected
+	// with the candidate set by the pivot and candidate-degree scans.
+	// Early termination and delivery are counted by EarlyTerminations,
+	// ETCliques and Cliques.
+	UniverseEntries int64 `json:"universe_entries"`
+	UniverseBits    int64 `json:"universe_bits"`
+	PivotWords      int64 `json:"pivot_words"`
 
 	// Workers is the number of goroutines that actually executed the
 	// enumeration: 1 for a one-worker run (including parallel fallbacks),
@@ -127,25 +129,6 @@ type Stats struct {
 	ShardsRetried int64 `json:"shards_retried,omitempty"`
 	//hbbmc:nomerge distributed-coordinator only, set after the shard fan-out
 	ShardsFailed int64 `json:"shards_failed,omitempty"`
-}
-
-// PhaseTime names one per-phase timer of a run — the machine-readable
-// form the service's metrics layer and cmd/mce's -json output consume.
-type PhaseTime struct {
-	Name     string        `json:"name"`
-	Duration time.Duration `json:"duration_ns"`
-}
-
-// PhaseTimes returns the four per-phase timers in their fixed order
-// (universe, pivot, et, emit). All four are zero unless the run set
-// Options.PhaseTimers.
-func (s *Stats) PhaseTimes() [4]PhaseTime {
-	return [4]PhaseTime{
-		{Name: "universe", Duration: s.UniverseTime},
-		{Name: "pivot", Duration: s.PivotTime},
-		{Name: "et", Duration: s.ETTime},
-		{Name: "emit", Duration: s.EmitTime},
-	}
 }
 
 // MergeStats folds src's per-worker counters into dst — the cross-shard

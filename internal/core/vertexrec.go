@@ -80,7 +80,6 @@ func (e *engine) pivotRec(adjH []bitset.Set, C, X bitset.Set) {
 //
 //hbbmc:noalloc
 func (e *engine) scanPivot(C, X bitset.Set) (cSize, minDeg, pivot int) {
-	t0 := e.now()
 	cSize, minDeg, pivot = 0, math.MaxInt, -1
 	best := -1
 	e.ensureCnt()
@@ -101,6 +100,7 @@ func (e *engine) scanPivot(C, X bitset.Set) (cSize, minDeg, pivot int) {
 			}
 		}
 	}
+	rows := cSize
 	for wi, w := range X {
 		base := wi * 64
 		for ; w != 0; w &= w - 1 {
@@ -108,12 +108,13 @@ func (e *engine) scanPivot(C, X bitset.Set) (cSize, minDeg, pivot int) {
 			if adj[i] == nil {
 				continue
 			}
+			rows++
 			if c := adj[i].AndCount(C); c > best {
 				best, pivot = c, i
 			}
 		}
 	}
-	e.addPivot(t0)
+	e.stats.PivotWords += int64(rows * len(C))
 	return cSize, minDeg, pivot
 }
 
@@ -199,7 +200,6 @@ func (e *engine) refRec(adjH []bitset.Set, C, X bitset.Set) {
 	if e.xDominated(C, X) {
 		return
 	}
-	t0 := e.now()
 	cSize := C.Count()
 	minDeg, universal := math.MaxInt, -1
 	best, pivot := -1, -1
@@ -223,7 +223,7 @@ func (e *engine) refRec(adjH []bitset.Set, C, X bitset.Set) {
 			}
 		}
 	}
-	e.addPivot(t0)
+	e.stats.PivotWords += int64(cSize * len(C))
 	if adjH != nil && !ablateMaskDrop && !e.maskedEdgesIn(adjH, C) {
 		adjH = nil
 	}
@@ -308,7 +308,6 @@ func (e *engine) rcdRec(adjH []bitset.Set, C, X bitset.Set) {
 	if adjH != nil {
 		cntH = e.cntArena.get(k)
 	}
-	t0 := e.now()
 	cSize := 0
 	minH, minV := math.MaxInt, -1
 	minG := math.MaxInt
@@ -332,7 +331,11 @@ func (e *engine) rcdRec(adjH []bitset.Set, C, X bitset.Set) {
 			}
 		}
 	}
-	e.addPivot(t0)
+	if adjH != nil {
+		e.stats.PivotWords += int64(2 * cSize * len(C))
+	} else {
+		e.stats.PivotWords += int64(cSize * len(C))
+	}
 	for {
 		// tryEarlyTerminate reads the candidate counts from cntBuf; alias
 		// the maintained counts in (read-only below emitPlexDirect) when
@@ -467,7 +470,6 @@ func (e *engine) facRec(adjH []bitset.Set, C, X bitset.Set) {
 //
 //hbbmc:noalloc
 func (e *engine) scanDegrees(C bitset.Set) (cSize, minDeg int) {
-	t0 := e.now()
 	cSize, minDeg = 0, math.MaxInt
 	e.ensureCnt()
 	adj := e.adjG
@@ -484,7 +486,7 @@ func (e *engine) scanDegrees(C bitset.Set) (cSize, minDeg int) {
 			}
 		}
 	}
-	e.addPivot(t0)
+	e.stats.PivotWords += int64(cSize * len(C))
 	return cSize, minDeg
 }
 

@@ -23,6 +23,7 @@ func lowBits(n int) uint64 { return uint64(1)<<n - 1 }
 //hbbmc:noalloc
 func (e *engine) installWordUniverse(vs []int32, baseRank int32, rowCount, inC int) bool {
 	e.installUniverse(vs, baseRank, 0)
+	e.wordRows = lowBits(rowCount)
 	cand := lowBits(inC)
 	maskFree := !ablateMaskFree
 	for i := range vs {
@@ -44,6 +45,8 @@ func (e *engine) installWordUniverse(vs []int32, baseRank int32, rowCount, inC i
 					h |= bit
 				}
 			}
+			e.stats.UniverseEntries += int64(hi - lo)
+			e.stats.UniverseBits += int64(bits.OnesCount64(g))
 		}
 		// Members without rows keep zero rows, which the pivot scan never
 		// prefers over a candidate.
@@ -80,7 +83,6 @@ func (e *engine) wordPivotRec(C, X uint64) {
 		}
 		return
 	}
-	t0 := e.now()
 	rows := &e.wordG
 	cSize, minDeg := bits.OnesCount64(C), 64
 	best, pivot := -1, 0
@@ -98,14 +100,11 @@ func (e *engine) wordPivotRec(C, X uint64) {
 			best, pivot = c, i
 		}
 	}
-	e.addPivot(t0)
-	if e.plexBranch(cSize, minDeg) && X == 0 {
-		t1 := e.now()
-		closed := e.emitPlexWord(C)
-		e.addET(t1)
-		if closed {
-			return
-		}
+	// One row word per candidate, plus one per exclusion member whose row
+	// was built: the words the generic scanPivot reads on this universe.
+	e.stats.PivotWords += int64(cSize + bits.OnesCount64(X&e.wordRows))
+	if e.plexBranch(cSize, minDeg) && X == 0 && e.emitPlexWord(C) {
+		return
 	}
 	if !ablateXDomination && X != 0 {
 		fold := X

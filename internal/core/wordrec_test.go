@@ -97,9 +97,10 @@ func branchShapes(s *Session) (sizes map[int]bool, maskedWord int) {
 
 // kernelCounters are the Stats the one-word kernel must report exactly as
 // the generic path does.
-func kernelCounters(st *Stats) [9]int64 {
-	return [9]int64{st.Cliques, st.Calls, st.VertexCalls, st.PlexBranches, st.EarlyTerminations,
-		st.ETCliques, st.SuppressedLeaves, st.TopBranches, int64(st.MaxCliqueSize)}
+func kernelCounters(st *Stats) [12]int64 {
+	return [12]int64{st.Cliques, st.Calls, st.VertexCalls, st.PlexBranches, st.EarlyTerminations,
+		st.ETCliques, st.SuppressedLeaves, st.TopBranches, int64(st.MaxCliqueSize),
+		st.UniverseEntries, st.UniverseBits, st.PivotWords}
 }
 
 // TestWordKernelBoundary runs HBBMC on universes of 63, 64 and 65 members

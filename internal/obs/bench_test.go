@@ -10,7 +10,7 @@ import (
 // here means the enumeration path started paying GC for its own telemetry.
 func TestObsHotPathAllocs(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("t_seconds", "test", "", LatencyBuckets())
+	h := r.Histogram("t_seconds", "test", LatencyBuckets())
 	tr := NewTrace()
 	start := time.Now()
 
@@ -43,7 +43,7 @@ func TestObsHotPathAllocs(t *testing.T) {
 func BenchmarkObsOverhead(b *testing.B) {
 	b.Run("HistogramObserve", func(b *testing.B) {
 		r := NewRegistry()
-		h := r.Histogram("b_seconds", "bench", "", LatencyBuckets())
+		h := r.Histogram("b_seconds", "bench", LatencyBuckets())
 		b.ReportAllocs()
 		b.RunParallel(func(pb *testing.PB) {
 			v := int64(17)

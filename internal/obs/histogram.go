@@ -15,9 +15,6 @@ import (
 // lock (see Observe).
 type Histogram struct {
 	name, help string
-	// label is a pre-rendered const label ("" = none), e.g.
-	// `phase="universe"`; it lets several Histograms share one family.
-	label string
 	// bounds are the inclusive upper bucket bounds in nanoseconds,
 	// ascending; secs caches them in seconds for rendering.
 	bounds []int64
@@ -29,13 +26,11 @@ type Histogram struct {
 }
 
 // Histogram registers and returns a histogram whose bucket upper bounds
-// are the given durations (ascending). Histograms registered under the
-// same name with different labels render as one family.
-func (r *Registry) Histogram(name, help, label string, buckets []time.Duration) *Histogram {
+// are the given durations (ascending).
+func (r *Registry) Histogram(name, help string, buckets []time.Duration) *Histogram {
 	h := &Histogram{
 		name:   name,
 		help:   help,
-		label:  label,
 		bounds: make([]int64, len(buckets)),
 		secs:   make([]float64, len(buckets)),
 		counts: make([]atomic.Int64, len(buckets)+1),
@@ -66,7 +61,7 @@ func LatencyBuckets() []time.Duration {
 }
 
 // FineBuckets is the default bucket ladder for sub-request costs — fsync,
-// stream stalls, per-phase times, shard round trips (10µs .. 10s).
+// stream stalls, shard round trips (10µs .. 10s).
 func FineBuckets() []time.Duration {
 	return []time.Duration{
 		10 * time.Microsecond, 50 * time.Microsecond, 100 * time.Microsecond,
@@ -125,17 +120,10 @@ func (h *Histogram) writeSeries(w *bufio.Writer) {
 	var cum int64
 	for i, sec := range h.secs {
 		cum += h.counts[i].Load()
-		writeSample(w, h.name+"_bucket", h.leLabel(formatFloat(sec)), fmt.Sprint(cum))
+		writeSample(w, h.name+`_bucket{le="`+formatFloat(sec)+`"}`, fmt.Sprint(cum))
 	}
 	cum += h.counts[len(h.secs)].Load()
-	writeSample(w, h.name+"_bucket", h.leLabel("+Inf"), fmt.Sprint(cum))
-	writeSample(w, h.name+"_sum", h.label, formatFloat(float64(h.sum.Load())/1e9))
-	writeSample(w, h.name+"_count", h.label, fmt.Sprint(cum))
-}
-
-func (h *Histogram) leLabel(le string) string {
-	if h.label == "" {
-		return `le="` + le + `"`
-	}
-	return h.label + `,le="` + le + `"`
+	writeSample(w, h.name+`_bucket{le="+Inf"}`, fmt.Sprint(cum))
+	writeSample(w, h.name+"_sum", formatFloat(float64(h.sum.Load())/1e9))
+	writeSample(w, h.name+"_count", fmt.Sprint(cum))
 }

@@ -1,8 +1,8 @@
 // Package obs is mced's dependency-free observability layer: a metrics
 // registry (counters, gauges, fixed-bucket histograms) rendered in the
 // Prometheus text exposition format or as a flat JSON object of its
-// unlabelled counters and gauges, and per-job trace timelines with a
-// traceparent-style propagation header for the distributed coordinator.
+// counters and gauges, and per-job trace timelines with a traceparent-style
+// propagation header for the distributed coordinator.
 //
 // The package is deliberately stdlib-only and hot-path friendly:
 //
@@ -24,8 +24,8 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"math"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -43,8 +43,8 @@ const (
 
 // Counter is a monotonically increasing value.
 type Counter struct {
-	name, help, label string
-	v                 atomic.Int64
+	name, help string
+	v          atomic.Int64
 }
 
 // Add increments the counter by delta (which must be non-negative).
@@ -58,8 +58,8 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 
 // Gauge is a value that can go up and down.
 type Gauge struct {
-	name, help, label string
-	v                 atomic.Int64
+	name, help string
+	v          atomic.Int64
 }
 
 // Set replaces the gauge value.
@@ -74,15 +74,14 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 // funcMetric is a metric sampled at scrape time — the bridge for values
 // owned elsewhere (another package's counters, Go runtime stats).
 type funcMetric struct {
-	name, help, label string
-	kind              Kind
-	fn                func() float64
+	name, help string
+	kind       Kind
+	fn         func() float64
 }
 
 // Registry holds a set of metrics and renders them in the Prometheus text
-// exposition format. Metrics sharing a family name (for example, the
-// per-phase histograms, which differ only in their const label) are
-// rendered under one HELP/TYPE header. Registration is cheap but not
+// exposition format. Every metric is one unlabelled series under its own
+// HELP/TYPE header, so names must be unique. Registration is cheap but not
 // hot-path; observation methods on the returned metrics are.
 type Registry struct {
 	mu sync.Mutex
@@ -99,10 +98,9 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{} }
 
-// Counter registers and returns a counter. label is a pre-rendered const
-// label ("" = none), e.g. `phase="universe"`.
-func (r *Registry) Counter(name, help, label string) *Counter {
-	c := &Counter{name: name, help: help, label: label}
+// Counter registers and returns a counter.
+func (r *Registry) Counter(name, help string) *Counter {
+	c := &Counter{name: name, help: help}
 	r.mu.Lock()
 	r.counters = append(r.counters, c)
 	r.mu.Unlock()
@@ -110,8 +108,8 @@ func (r *Registry) Counter(name, help, label string) *Counter {
 }
 
 // Gauge registers and returns a gauge.
-func (r *Registry) Gauge(name, help, label string) *Gauge {
-	g := &Gauge{name: name, help: help, label: label}
+func (r *Registry) Gauge(name, help string) *Gauge {
+	g := &Gauge{name: name, help: help}
 	r.mu.Lock()
 	r.gauges = append(r.gauges, g)
 	r.mu.Unlock()
@@ -119,79 +117,61 @@ func (r *Registry) Gauge(name, help, label string) *Gauge {
 }
 
 // Func registers a metric sampled at scrape time by fn.
-func (r *Registry) Func(name, help, label string, kind Kind, fn func() float64) {
+func (r *Registry) Func(name, help string, kind Kind, fn func() float64) {
 	r.mu.Lock()
-	r.funcs = append(r.funcs, funcMetric{name: name, help: help, label: label, kind: kind, fn: fn})
+	r.funcs = append(r.funcs, funcMetric{name: name, help: help, kind: kind, fn: fn})
 	r.mu.Unlock()
 }
 
-// family groups every series of one metric name for rendering.
-type family struct {
+// metric is one registered metric as rendered: its header fields and the
+// writer of its series.
+type metric struct {
 	name, help string
 	kind       Kind
-	write      []func(w *bufio.Writer)
+	write      func(w *bufio.Writer)
 }
 
 // WritePrometheus renders every registered metric in the text exposition
-// format (version 0.0.4): families sorted by name, one HELP/TYPE header
-// per family, label variants in registration order.
+// format (version 0.0.4): metrics sorted by name, each under one HELP/TYPE
+// header.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
-	hists := append([]*Histogram(nil), r.hists...)
-	counters := append([]*Counter(nil), r.counters...)
-	gauges := append([]*Gauge(nil), r.gauges...)
-	funcs := append([]funcMetric(nil), r.funcs...)
+	var ms []metric
+	for _, c := range r.counters {
+		ms = append(ms, metric{c.name, c.help, KindCounter, func(w *bufio.Writer) {
+			writeSample(w, c.name, strconv.FormatInt(c.Value(), 10))
+		}})
+	}
+	for _, g := range r.gauges {
+		ms = append(ms, metric{g.name, g.help, KindGauge, func(w *bufio.Writer) {
+			writeSample(w, g.name, strconv.FormatInt(g.Value(), 10))
+		}})
+	}
+	for _, fm := range r.funcs {
+		ms = append(ms, metric{fm.name, fm.help, fm.kind, func(w *bufio.Writer) {
+			writeSample(w, fm.name, formatFloat(fm.fn()))
+		}})
+	}
+	for _, h := range r.hists {
+		ms = append(ms, metric{h.name, h.help, KindHistogram, h.writeSeries})
+	}
 	r.mu.Unlock()
-
-	fams := make(map[string]*family)
-	var order []string
-	add := func(name, help string, kind Kind, write func(w *bufio.Writer)) {
-		f := fams[name]
-		if f == nil {
-			f = &family{name: name, help: help, kind: kind}
-			fams[name] = f
-			order = append(order, name)
-		}
-		f.write = append(f.write, write)
-	}
-	for _, c := range counters {
-		add(c.name, c.help, KindCounter, func(w *bufio.Writer) {
-			writeSample(w, c.name, c.label, strconv.FormatInt(c.Value(), 10))
-		})
-	}
-	for _, g := range gauges {
-		add(g.name, g.help, KindGauge, func(w *bufio.Writer) {
-			writeSample(w, g.name, g.label, strconv.FormatInt(g.Value(), 10))
-		})
-	}
-	for _, fm := range funcs {
-		add(fm.name, fm.help, fm.kind, func(w *bufio.Writer) {
-			writeSample(w, fm.name, fm.label, formatFloat(fm.fn()))
-		})
-	}
-	for _, h := range hists {
-		add(h.name, h.help, KindHistogram, h.writeSeries)
-	}
-	sort.Strings(order)
+	slices.SortStableFunc(ms, func(a, b metric) int { return strings.Compare(a.name, b.name) })
 
 	bw := bufio.NewWriter(w)
-	for _, name := range order {
-		f := fams[name]
-		if f.help != "" {
-			fmt.Fprintf(bw, "# HELP %s %s\n", f.name, escapeHelp(f.help))
+	for _, m := range ms {
+		if m.help != "" {
+			fmt.Fprintf(bw, "# HELP %s %s\n", m.name, escapeHelp(m.help))
 		}
-		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.kind)
-		for _, write := range f.write {
-			write(bw)
-		}
+		fmt.Fprintf(bw, "# TYPE %s %s\n", m.name, m.kind)
+		m.write(bw)
 	}
 	return bw.Flush()
 }
 
 // WriteJSON renders the counters, gauges and sampled metrics whose names
 // start with prefix as one flat JSON object of name → value, keys sorted
-// for stable diffs. Histograms and labelled series have no single flat
-// value and are left out.
+// for stable diffs. Histograms have no single flat value and are left out.
 func (r *Registry) WriteJSON(w io.Writer, prefix string) error {
 	r.mu.Lock()
 	counters := append([]*Counter(nil), r.counters...)
@@ -200,19 +180,18 @@ func (r *Registry) WriteJSON(w io.Writer, prefix string) error {
 	r.mu.Unlock()
 
 	values := make(map[string]string)
-	flat := func(name, label string) bool { return label == "" && strings.HasPrefix(name, prefix) }
 	for _, c := range counters {
-		if flat(c.name, c.label) {
+		if strings.HasPrefix(c.name, prefix) {
 			values[c.name] = strconv.FormatInt(c.Value(), 10)
 		}
 	}
 	for _, g := range gauges {
-		if flat(g.name, g.label) {
+		if strings.HasPrefix(g.name, prefix) {
 			values[g.name] = strconv.FormatInt(g.Value(), 10)
 		}
 	}
 	for _, fm := range funcs {
-		if flat(fm.name, fm.label) {
+		if strings.HasPrefix(fm.name, prefix) {
 			values[fm.name] = strconv.FormatFloat(fm.fn(), 'f', -1, 64)
 		}
 	}
@@ -229,17 +208,18 @@ func (r *Registry) WriteJSON(w io.Writer, prefix string) error {
 	return bw.Flush()
 }
 
-func writeSample(w *bufio.Writer, name, label, value string) {
-	if label == "" {
-		fmt.Fprintf(w, "%s %s\n", name, value)
-	} else {
-		fmt.Fprintf(w, "%s{%s} %s\n", name, label, value)
-	}
+func writeSample(w *bufio.Writer, name, value string) {
+	fmt.Fprintf(w, "%s %s\n", name, value)
 }
 
 // formatFloat renders a sample value: shortest representation that
-// round-trips, matching the Prometheus client convention.
+// round-trips, matching the Prometheus client convention. Integral values
+// below 2^53 print in plain decimal, as WriteJSON and the native counters
+// print them, so a sampled 2500000 never reads 2.5e+06 in one view only.
 func formatFloat(v float64) string {
+	if v == math.Trunc(v) && math.Abs(v) < 1<<53 {
+		return strconv.FormatFloat(v, 'f', -1, 64)
+	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 

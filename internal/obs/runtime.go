@@ -24,14 +24,14 @@ func (r *Registry) RegisterGoRuntime() {
 		}
 		return ms
 	}
-	r.Func("go_goroutines", "Number of live goroutines.", "", KindGauge,
+	r.Func("go_goroutines", "Number of live goroutines.", KindGauge,
 		func() float64 { return float64(runtime.NumGoroutine()) })
-	r.Func("go_heap_alloc_bytes", "Bytes of allocated heap objects.", "", KindGauge,
+	r.Func("go_heap_alloc_bytes", "Bytes of allocated heap objects.", KindGauge,
 		func() float64 { m := memstats(); return float64(m.HeapAlloc) })
-	r.Func("go_heap_sys_bytes", "Bytes of heap memory obtained from the OS.", "", KindGauge,
+	r.Func("go_heap_sys_bytes", "Bytes of heap memory obtained from the OS.", KindGauge,
 		func() float64 { m := memstats(); return float64(m.HeapSys) })
-	r.Func("go_gc_cycles_total", "Completed GC cycles.", "", KindCounter,
+	r.Func("go_gc_cycles_total", "Completed GC cycles.", KindCounter,
 		func() float64 { m := memstats(); return float64(m.NumGC) })
-	r.Func("go_gc_pause_seconds_total", "Cumulative GC stop-the-world pause time.", "", KindCounter,
+	r.Func("go_gc_pause_seconds_total", "Cumulative GC stop-the-world pause time.", KindCounter,
 		func() float64 { m := memstats(); return float64(m.PauseTotalNs) / 1e9 })
 }

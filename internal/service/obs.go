@@ -23,9 +23,6 @@ type serverObs struct {
 	// queueWait observes the admission wait until worker slots were granted
 	// (admitted jobs only — rejected requests never hold slots).
 	queueWait *obs.Histogram
-	// phases observe the per-phase enumeration timers of jobs that ran with
-	// phase timers enabled, indexed like core.Stats.PhaseTimes.
-	phases [4]*obs.Histogram
 	// streamStall observes each put that blocked on a full clique pipe
 	// waiting for the streaming client.
 	streamStall *obs.Histogram
@@ -43,30 +40,22 @@ type serverObs struct {
 	slowLast atomic.Int64
 }
 
-// phaseNames indexes serverObs.phases, matching core.Stats.PhaseTimes.
-var phaseNames = [4]string{"universe", "pivot", "et", "emit"}
-
 func newServerObs() *serverObs {
 	r := obs.NewRegistry()
 	o := &serverObs{reg: r}
 	o.jobLatency = r.Histogram("mced_job_duration_seconds",
-		"End-to-end job latency from submission to terminal state.", "", obs.LatencyBuckets())
+		"End-to-end job latency from submission to terminal state.", obs.LatencyBuckets())
 	o.queueWait = r.Histogram("mced_queue_wait_seconds",
-		"Admission-queue wait until worker slots were granted.", "", obs.FineBuckets())
-	for i, phase := range phaseNames {
-		o.phases[i] = r.Histogram("mced_phase_seconds",
-			"Per-phase enumeration time of jobs run with phase timers.",
-			`phase="`+phase+`"`, obs.FineBuckets())
-	}
+		"Admission-queue wait until worker slots were granted.", obs.FineBuckets())
 	o.streamStall = r.Histogram("mced_stream_stall_seconds",
 		"Time a clique producer blocked on a full stream pipe waiting for the streaming client.",
-		"", obs.FineBuckets())
+		obs.FineBuckets())
 	o.sessionBuild = r.Histogram("mced_session_build_seconds",
-		"Session construction time on cache misses (ordering preprocessing).", "", obs.LatencyBuckets())
+		"Session construction time on cache misses (ordering preprocessing).", obs.LatencyBuckets())
 	o.journalFsync = r.Histogram("mced_journal_fsync_seconds",
-		"Write-ahead journal fsync latency per appended record.", "", obs.FineBuckets())
+		"Write-ahead journal fsync latency per appended record.", obs.FineBuckets())
 	o.shardRTT = r.Histogram("mced_shard_rtt_seconds",
-		"Coordinator shard dispatch round-trip time per attempt.", "", obs.FineBuckets())
+		"Coordinator shard dispatch round-trip time per attempt.", obs.FineBuckets())
 	r.RegisterGoRuntime()
 	return o
 }
@@ -111,8 +100,8 @@ type metrics struct {
 
 // newMetrics registers the flat counters and gauges in r.
 func newMetrics(r *obs.Registry) *metrics {
-	counter := func(name string) *obs.Counter { return r.Counter("mced_"+name, counterHelp, "") }
-	gauge := func(name string) *obs.Gauge { return r.Gauge("mced_"+name, gaugeHelp, "") }
+	counter := func(name string) *obs.Counter { return r.Counter("mced_"+name, counterHelp) }
+	gauge := func(name string) *obs.Gauge { return r.Gauge("mced_"+name, gaugeHelp) }
 	m := &metrics{
 		jobsQueued:            gauge("jobs_queued"),
 		jobsRunning:           gauge("jobs_running"),
@@ -149,7 +138,7 @@ func newMetrics(r *obs.Registry) *metrics {
 // counters (zero without a journal) and the number of open peer breakers.
 func (s *Server) registerSampledMetrics() {
 	journalCounter := func(name string, v func(journal.Counters) int64) {
-		s.obs.reg.Func("mced_"+name, counterHelp, "", obs.KindCounter, func() float64 {
+		s.obs.reg.Func("mced_"+name, counterHelp, obs.KindCounter, func() float64 {
 			if s.jnl == nil {
 				return 0
 			}
@@ -159,14 +148,14 @@ func (s *Server) registerSampledMetrics() {
 	journalCounter("journal_records_appended", func(c journal.Counters) int64 { return c.Records })
 	journalCounter("journal_bytes_appended", func(c journal.Counters) int64 { return c.Bytes })
 	journalCounter("journal_truncated_tails", func(c journal.Counters) int64 { return c.TruncatedTails })
-	s.obs.reg.Func("mced_peer_breaker_open", gaugeHelp, "", obs.KindGauge,
+	s.obs.reg.Func("mced_peer_breaker_open", gaugeHelp, obs.KindGauge,
 		func() float64 { return float64(s.breakers.openCount()) })
 }
 
 // jobTerminal is the jobManager's terminal hook, invoked on every terminal
-// transition before the job's done channel closes: it feeds the latency and
-// per-phase histograms, closes the trace timeline with its "run" span, logs
-// the outcome and emits the sampled slow-query report.
+// transition before the job's done channel closes: it feeds the latency
+// histogram, closes the trace timeline with its "run" span, logs the
+// outcome and emits the sampled slow-query report.
 func (s *Server) jobTerminal(j *Job) {
 	j.mu.Lock()
 	created, started, finished := j.created, j.started, j.finished
@@ -180,14 +169,6 @@ func (s *Server) jobTerminal(j *Job) {
 	if !started.IsZero() {
 		j.trace.Record("run", started, finished.Sub(started))
 	}
-	if stats != nil {
-		for i, pt := range stats.PhaseTimes() {
-			if pt.Duration > 0 {
-				s.obs.phases[i].ObserveDuration(pt.Duration)
-			}
-		}
-	}
-
 	log := s.log.With(
 		slog.String("job", j.ID),
 		slog.String("trace", j.trace.ID()),

@@ -1,6 +1,7 @@
 package service_test
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	hbbmc "github.com/graphmining/hbbmc"
+	"github.com/graphmining/hbbmc/internal/dataset"
 	"github.com/graphmining/hbbmc/internal/obs"
 	"github.com/graphmining/hbbmc/internal/service"
 )
@@ -27,7 +29,7 @@ func TestJobTraceEndpoint(t *testing.T) {
 	g := hbbmc.GenerateER(300, 1500, 3)
 	e.registerGraph("er", g)
 
-	v := e.startJob(map[string]any{"dataset": "er", "mode": "enumerate", "phase_timers": true})
+	v := e.startJob(map[string]any{"dataset": "er", "mode": "enumerate"})
 	if !traceIDRE.MatchString(v.TraceID) {
 		t.Fatalf("JobView trace_id = %q, want 32 lowercase hex digits", v.TraceID)
 	}
@@ -76,6 +78,49 @@ func TestJobTraceEndpoint(t *testing.T) {
 	}
 }
 
+// TestJobWorkCounters checks that the engine's work counters reach a job's
+// view: a count job reports the counters of a direct one-worker count of
+// the same options, and a two-node coordinated count merges its shards'
+// counters to the same values. The NA stand-in's edge branches build
+// universes, so the counters are non-zero (on sparse ER graphs every edge
+// branch resolves inline and they are 0). A request still carrying the
+// removed phase-timer field is accepted and runs.
+func TestJobWorkCounters(t *testing.T) {
+	withTestProcs(t, 2)
+	spec, _ := dataset.ByName("NA")
+	g := spec.Build()
+	sess, err := hbbmc.NewSession(g, hbbmc.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want, err := sess.CountWith(context.Background(), hbbmc.QueryOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	work := func(st *hbbmc.Stats) [3]int64 {
+		return [3]int64{st.UniverseEntries, st.UniverseBits, st.PivotWords}
+	}
+	if w := work(want); w[0] == 0 || w[1] == 0 || w[2] == 0 {
+		t.Fatalf("direct count: work counters %v, want all non-zero", w)
+	}
+	check := func(label string, e *testEnv, req map[string]any) {
+		t.Helper()
+		fin := e.waitJob(e.startJob(req).ID)
+		if fin.State != service.StateDone || fin.Stats == nil {
+			t.Fatalf("%s: job ended %s (%s)", label, fin.State, fin.Error)
+		}
+		if got := work(fin.Stats); got != work(want) {
+			t.Errorf("%s: work counters %v, direct count %v", label, got, work(want))
+		}
+	}
+	e := newTestEnv(t, service.Config{})
+	e.registerGraph("na", g)
+	check("count", e, map[string]any{"dataset": "na", "mode": "count", "workers": 2})
+	check("removed timer field", e, map[string]any{"dataset": "na", "mode": "count", "phase_timers": true})
+	c := newCluster(t, 2, "na", g, func(cfg *service.Config) { cfg.ShardMaxBranches = 0 })
+	check("coordinated count", c.coord, map[string]any{"dataset": "na", "mode": "count"})
+}
+
 // TestMetricsPrometheus checks the /metrics content negotiation and the
 // exposition itself: the default scrape is Prometheus text with typed
 // families and populated serving histograms, ?format=json and an
@@ -84,7 +129,7 @@ func TestMetricsPrometheus(t *testing.T) {
 	e := newTestEnv(t, service.Config{})
 	g := hbbmc.GenerateER(400, 3000, 4)
 	e.registerGraph("er", g)
-	v := e.startJob(map[string]any{"dataset": "er", "mode": "count", "phase_timers": true})
+	v := e.startJob(map[string]any{"dataset": "er", "mode": "count"})
 	if got := e.waitJob(v.ID); got.State != service.StateDone {
 		t.Fatalf("job ended %s", got.State)
 	}
@@ -97,7 +142,6 @@ func TestMetricsPrometheus(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE mced_job_duration_seconds histogram",
 		"# TYPE mced_queue_wait_seconds histogram",
-		"# TYPE mced_phase_seconds histogram",
 		"# TYPE mced_shard_rtt_seconds histogram",
 		"# TYPE mced_session_build_seconds histogram",
 		`mced_job_duration_seconds_bucket{le="+Inf"} 1`,
@@ -112,25 +156,6 @@ func TestMetricsPrometheus(t *testing.T) {
 			t.Errorf("exposition lacks %q", want)
 		}
 	}
-	// The job ran with phase timers on a non-trivial graph: at least one
-	// phase histogram observed a non-zero duration.
-	var phaseObs int
-	for _, line := range strings.Split(text, "\n") {
-		if strings.HasPrefix(line, "mced_phase_seconds_count{") {
-			n := line[strings.LastIndexByte(line, ' ')+1:]
-			if n != "0" {
-				phaseObs++
-			}
-		}
-	}
-	if phaseObs == 0 {
-		t.Error("no phase histogram observed anything despite phase_timers")
-	}
-	// One TYPE line per family, even for the labelled phase variants.
-	if n := strings.Count(text, "# TYPE mced_phase_seconds "); n != 1 {
-		t.Errorf("%d TYPE lines for mced_phase_seconds, want 1", n)
-	}
-
 	fetchJSON := func(path, accept string) (*http.Response, []byte) {
 		r, err := http.NewRequest("GET", e.ts.URL+path, nil)
 		if err != nil {

@@ -238,9 +238,8 @@ func (s *Server) planResume(j *Job, rs *resumeState, cursor int) (*resumePlan, b
 	}
 	workers := s.jobWorkers(rs.req.Workers)
 	q := hbbmc.QueryOptions{
-		Workers:     workers,
-		MaxCliques:  rs.req.MaxCliques,
-		PhaseTimers: s.cfg.PhaseTimers || rs.req.PhaseTimers,
+		Workers:    workers,
+		MaxCliques: rs.req.MaxCliques,
 	}
 	if cursor > 0 {
 		q.BranchLo, q.BranchHi = cursor, branches

@@ -20,7 +20,9 @@ import (
 
 // jobRequest is the POST /v1/jobs body. Omitted algorithm fields default to
 // the paper's HBBMC++ configuration (hbbmc.DefaultOptions); omitted run
-// fields default to one worker, no clique budget and no deadline.
+// fields default to one worker, no clique budget and no deadline. Unknown
+// fields are ignored, not rejected, both here and when the journal replays
+// a stored request, so requests naming a field since removed still run.
 type jobRequest struct {
 	Dataset string `json:"dataset"`
 	// Type selects the query the job runs:
@@ -54,10 +56,6 @@ type jobRequest struct {
 	MaxCliques int64  `json:"max_cliques"` // 0 = unlimited
 	Timeout    string `json:"timeout"`     // Go duration, e.g. "30s"; "" = none
 	Buffer     int    `json:"buffer"`      // cliques buffered between the enumeration and the stream; 0 = server default
-	// PhaseTimers opts this job into per-phase timers (universe/pivot/et/
-	// emit), reported in Stats and fed to the mced_phase_seconds histograms;
-	// Config.PhaseTimers turns them on server-wide instead.
-	PhaseTimers bool `json:"phase_timers,omitempty"`
 
 	// Distributed-shard fields (internal/distrib.Descriptor). BranchRange
 	// restricts the run to branch schedule positions [lo, hi); [0, 0] is
@@ -268,11 +266,10 @@ func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 
 	workers := s.jobWorkers(req.Workers)
 	q := hbbmc.QueryOptions{
-		Workers:     workers,
-		MaxCliques:  req.MaxCliques,
-		BranchLo:    branchLo,
-		BranchHi:    branchHi,
-		PhaseTimers: req.PhaseTimers || s.cfg.PhaseTimers,
+		Workers:    workers,
+		MaxCliques: req.MaxCliques,
+		BranchLo:   branchLo,
+		BranchHi:   branchHi,
 	}
 
 	j := s.jobs.create(req.Dataset, typ, req.K, sess.Options(), q, workers, buffer, tr)

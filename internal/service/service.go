@@ -132,10 +132,6 @@ type Config struct {
 	// dumped to the log with its span timeline and statistics, sampled to at
 	// most one dump per second (0 = disabled).
 	SlowQuery time.Duration
-	// PhaseTimers forces per-phase timers (universe/pivot/et/emit) on every
-	// job, feeding the mced_phase_seconds histograms; individual requests
-	// can also opt in per job with "phase_timers": true.
-	PhaseTimers bool
 
 	// BootDatasets are registered by Open at construction time, before any
 	// journal replay resumes interrupted jobs, so a restored job can resolve

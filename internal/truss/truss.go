@@ -37,17 +37,6 @@ type Decomposition struct {
 	Inc *Incidence
 }
 
-// Supports returns the number of triangles through each edge, computed from
-// the forward triangle enumeration in O(δm).
-func Supports(g *graph.Graph) []int32 {
-	inc := BuildIncidence(g)
-	sup := make([]int32, g.NumEdges())
-	for e := range sup {
-		sup[e] = inc.Count(int32(e))
-	}
-	return sup
-}
-
 // CountTriangles returns the number of triangles in g (each counted once).
 func CountTriangles(g *graph.Graph) int64 {
 	return BuildIncidence(g).Triangles()
@@ -192,38 +181,4 @@ func orderEdgesBy(g *graph.Graph, key func(e int32) (int64, int64)) EdgeOrder {
 		eo.Rank[e] = int32(i)
 	}
 	return eo
-}
-
-// MaxCandidateSize returns, for a given edge order, the largest number of
-// common neighbors w of an edge (u,v) such that both (u,w) and (v,w) rank
-// after (u,v). For the truss ordering this equals the bound the branching
-// engines rely on (≤ τ); for other orderings it measures how loose they are.
-func MaxCandidateSize(g *graph.Graph, eo EdgeOrder) int {
-	max := 0
-	for e := int32(0); e < int32(g.NumEdges()); e++ {
-		u, v := g.EdgeEndpoints(e)
-		r := eo.Rank[e]
-		cnt := 0
-		nu, nv := g.Neighbors(u), g.Neighbors(v)
-		iu, iv := g.IncidentEdgeIDs(u), g.IncidentEdgeIDs(v)
-		i, j := 0, 0
-		for i < len(nu) && j < len(nv) {
-			switch {
-			case nu[i] < nv[j]:
-				i++
-			case nu[i] > nv[j]:
-				j++
-			default:
-				if eo.Rank[iu[i]] > r && eo.Rank[iv[j]] > r {
-					cnt++
-				}
-				i++
-				j++
-			}
-		}
-		if cnt > max {
-			max = cnt
-		}
-	}
-	return max
 }

@@ -36,8 +36,9 @@ func randomGraph(rng *rand.Rand, n, m int) *graph.Graph {
 
 func TestSupportsTriangle(t *testing.T) {
 	g := complete(3)
-	for e, s := range Supports(g) {
-		if s != 1 {
+	inc := BuildIncidence(g)
+	for e := int32(0); e < int32(g.NumEdges()); e++ {
+		if s := inc.Count(e); s != 1 {
 			t.Errorf("support of edge %d = %d, want 1", e, s)
 		}
 	}
@@ -45,8 +46,9 @@ func TestSupportsTriangle(t *testing.T) {
 
 func TestSupportsK5(t *testing.T) {
 	g := complete(5)
-	for e, s := range Supports(g) {
-		if s != 3 {
+	inc := BuildIncidence(g)
+	for e := int32(0); e < int32(g.NumEdges()); e++ {
+		if s := inc.Count(e); s != 3 {
 			t.Errorf("support of K5 edge %d = %d, want 3", e, s)
 		}
 	}
@@ -203,4 +205,38 @@ func TestMinDegreeOrderSortedByKey(t *testing.T) {
 		}
 		prev = k
 	}
+}
+
+// MaxCandidateSize returns, for a given edge order, the largest number of
+// common neighbors w of an edge (u,v) such that both (u,w) and (v,w) rank
+// after (u,v). For the truss ordering this equals the bound the branching
+// engines rely on (≤ τ); for other orderings it measures how loose they are.
+func MaxCandidateSize(g *graph.Graph, eo EdgeOrder) int {
+	max := 0
+	for e := int32(0); e < int32(g.NumEdges()); e++ {
+		u, v := g.EdgeEndpoints(e)
+		r := eo.Rank[e]
+		cnt := 0
+		nu, nv := g.Neighbors(u), g.Neighbors(v)
+		iu, iv := g.IncidentEdgeIDs(u), g.IncidentEdgeIDs(v)
+		i, j := 0, 0
+		for i < len(nu) && j < len(nv) {
+			switch {
+			case nu[i] < nv[j]:
+				i++
+			case nu[i] > nv[j]:
+				j++
+			default:
+				if eo.Rank[iu[i]] > r && eo.Rank[iv[j]] > r {
+					cnt++
+				}
+				i++
+				j++
+			}
+		}
+		if cnt > max {
+			max = cnt
+		}
+	}
+	return max
 }

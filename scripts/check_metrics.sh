@@ -9,8 +9,8 @@
 #   * every histogram family carries a `+Inf` bucket, a `_sum` and a
 #     `_count`, and its cumulative buckets are monotonically non-decreasing
 #     in `le` order, ending equal to `_count`;
-#   * the core serving histograms are present: job duration, queue wait,
-#     per-phase time and shard RTT.
+#   * the core serving histograms are present: job duration, queue wait
+#     and shard RTT.
 #
 # Run by the CI smoke job against a live daemon; run locally with
 #   curl -s http://127.0.0.1:8399/metrics | ./scripts/check_metrics.sh
@@ -83,7 +83,7 @@ END {
     if ((key in has_inf) && (key in has_count) && inf_val[key] != count_val[key])
       { printf "check_metrics: histogram %s: +Inf bucket %d != _count %d\n", key, inf_val[key], count_val[key]; bad = 1 }
   }
-  n = split("mced_job_duration_seconds mced_queue_wait_seconds mced_phase_seconds mced_shard_rtt_seconds", req, " ")
+  n = split("mced_job_duration_seconds mced_queue_wait_seconds mced_shard_rtt_seconds", req, " ")
   for (i = 1; i <= n; i++) {
     if (!(req[i] in seen)) { printf "check_metrics: required histogram %s missing\n", req[i]; bad = 1 }
     else if (typed[req[i]] != "histogram") { printf "check_metrics: %s is %s, want histogram\n", req[i], typed[req[i]]; bad = 1 }

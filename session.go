@@ -43,8 +43,8 @@ var ErrStopped = core.ErrStopped
 const UseAllCores = core.UseAllCores
 
 // QueryOptions override, for a single Session query, the per-run knobs of
-// the session's Options (worker count, clique budget, emit batching, phase
-// timers) without rebuilding the cached preprocessing. The zero value
+// the session's Options (worker count, clique budget, emit batching)
+// without rebuilding the cached preprocessing. The zero value
 // inherits every session setting; see Session.EnumerateWith and
 // Session.CountWith. This is the mechanism a service uses to serve
 // per-request limits from one shared Session.
