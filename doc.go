@@ -120,8 +120,8 @@
 // in nondeterministic order, and they are delivered in per-worker batches
 // (Options.EmitBatchSize, default 256), so a clique may be reported
 // slightly after its discovery. QueryOptions.OrderedEmit trades that for
-// delivery in schedule order. As with one worker, the slice passed to the
-// Visitor is reused — copy it to retain it.
+// delivery in schedule order, chunk by chunk. As with one worker, the
+// slice passed to the Visitor is reused — copy it to retain it.
 //
 // # Performance architecture
 //
@@ -150,10 +150,20 @@
 //     later-neighbor count per vertex) with ramp-up chunking — single
 //     branches at the expensive head, growing chunks toward the cheap tail
 //     — so one late big branch cannot strand the run on a single worker.
+//   - Anchor-grouped edge branches. Enumerate, count and top_k hand each
+//     claimed chunk of branches to the engine, which runs the edge
+//     branches with at least 16 common neighbours grouped by anchor, the
+//     lower-degree endpoint of their edge, in decreasing rank. A group
+//     walks the anchor's triangle lists once into a full and a live row
+//     matrix over the union of its universes and cuts each branch's rows
+//     from them with word operations, instead of walking one triangle
+//     list per member and branch.
 //
 // Every query accounts its hot-path work in counts rather than time:
-// Stats.UniverseEntries and Stats.UniverseBits count the entries walked
-// and the row bits set to build branch-local adjacency rows, and
+// Stats.UniverseEntries and Stats.UniverseBits count the entries a
+// branch's own walk reads and the row bits set to build its branch-local
+// adjacency rows (an edge branch whose rows are cut from its anchor
+// group's counts the walk it would have made alone), and
 // Stats.PivotWords counts the row words the pivot and degree scans
 // intersect with the candidate set. The counters are deterministic at any
 // worker count, and internal/core/testdata/work.golden.json pins them for

@@ -56,9 +56,9 @@ func TestTable2RunsAndAgrees(t *testing.T) {
 		t.Fatalf("unexpected shape %dx%d", len(tab.Rows), len(tab.Header))
 	}
 	// At the stand-ins' reduced scale the branch-setup cost dominates and
-	// the paper's wall-clock headline need not reproduce (see
-	// EXPERIMENTS.md); HBBMC++ must however stay within a small factor of
-	// the best baseline everywhere.
+	// the paper's wall-clock headline need not reproduce (see DESIGN.md
+	// §5); HBBMC++ must however stay within a small factor of the best
+	// baseline everywhere.
 	for _, row := range tab.Rows {
 		h := parseSecs(t, row[1])
 		best := h
@@ -174,7 +174,7 @@ func TestFigureSweeps(t *testing.T) {
 }
 
 func TestDegeneracyConcentratesAtFixedDensity(t *testing.T) {
-	// Deviation from the paper, recorded in EXPERIMENTS.md: for the stated
+	// Deviation from the paper, recorded in DESIGN.md §5: for the stated
 	// G(n, m=ρn) generator, degeneracy CONCENTRATES as n grows at fixed ρ
 	// (the paper's Appendix D reports growth, which is inconsistent with
 	// that generator). Both models must stay within a narrow band here.

@@ -25,4 +25,8 @@ var (
 	// ablateWordKernel sends HBBMC edge branches of at most 64 members
 	// through the generic bitset path instead of the one-word kernel.
 	ablateWordKernel bool
+	// ablateAnchorRows makes every edge branch of an anchor group walk its
+	// own rows instead of cutting them from the group's; the branches still
+	// run in grouped order.
+	ablateAnchorRows bool
 )

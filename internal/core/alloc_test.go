@@ -5,15 +5,17 @@ import (
 	"testing"
 
 	"github.com/graphmining/hbbmc/internal/gen"
+	"github.com/graphmining/hbbmc/internal/graph"
 )
 
-// warmEngine builds a session for opts over a planted-clique graph and
-// returns an engine that has already completed one full enumeration, so
-// every lazily grown buffer (universe rows, arenas, scratch slices) sits at
-// its high-water mark.
-func warmEngine(t *testing.T, opts Options) (*Session, *engine) {
+// allocGraph is a planted-clique graph whose 24-cliques give edge branches
+// enough common neighbours to share rows in anchor groups.
+func allocGraph() *graph.Graph { return gen.NoisyCliques(300, 12, 24, 600, 11) }
+
+// warmEngine builds a session for opts over g and returns an engine ready
+// to run its branches.
+func warmEngine(t *testing.T, g *graph.Graph, opts Options) (*Session, *engine) {
 	t.Helper()
-	g := gen.NoisyCliques(300, 20, 8, 600, 11)
 	s, err := NewSession(g, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -31,16 +33,22 @@ func warmEngine(t *testing.T, opts Options) (*Session, *engine) {
 // hybrid edge-driven recursion with early termination enabled. The planted
 // graph's edge branches all fit one word, so HBBMC_ET3 runs the one-word
 // kernel and HBBMC_ET3_generic the bitset path it replaces.
+// HBBMC_ET3_grouped runs the whole edge ordering as one chunk on a graph
+// whose anchor groups share rows (TestAnchorGroupShapes).
 func TestRecursionAllocFree(t *testing.T) {
+	planted := gen.NoisyCliques(300, 20, 8, 600, 11)
 	cases := []struct {
-		name   string
-		opts   Options
-		ablate *bool
+		name    string
+		g       *graph.Graph
+		opts    Options
+		ablate  *bool
+		grouped bool
 	}{
-		{"BKDegen", Options{Algorithm: BKDegen}, nil},
-		{"HBBMC_ET3", Options{Algorithm: HBBMC, ET: 3}, nil},
-		{"HBBMC_ET3_generic", Options{Algorithm: HBBMC, ET: 3}, &ablateWordKernel},
-		{"EBBMC", Options{Algorithm: EBBMC}, nil},
+		{"BKDegen", planted, Options{Algorithm: BKDegen}, nil, false},
+		{"HBBMC_ET3", planted, Options{Algorithm: HBBMC, ET: 3}, nil, false},
+		{"HBBMC_ET3_generic", planted, Options{Algorithm: HBBMC, ET: 3}, &ablateWordKernel, false},
+		{"EBBMC", planted, Options{Algorithm: EBBMC}, nil, false},
+		{"HBBMC_ET3_grouped", allocGraph(), Options{Algorithm: HBBMC, ET: 3}, nil, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -48,10 +56,13 @@ func TestRecursionAllocFree(t *testing.T) {
 				*tc.ablate = true
 				defer func() { *tc.ablate = false }()
 			}
-			s, e := warmEngine(t, tc.opts)
+			s, e := warmEngine(t, tc.g, tc.opts)
 			run := func() {
-				switch tc.opts.Algorithm {
-				case EBBMC, HBBMC:
+				switch {
+				case tc.grouped:
+					e.runEdgeChunk(nil, 0, len(s.eo.Order))
+					e.runIsolatedVertices()
+				case tc.opts.Algorithm == EBBMC || tc.opts.Algorithm == HBBMC:
 					for _, eid := range s.eo.Order {
 						e.runEdgeBranch(eid)
 					}

@@ -175,27 +175,14 @@ func (e *engine) cheapSide(cn commonNeighbor) int32 {
 //
 //hbbmc:noalloc
 func (e *engine) runEdgeBranch(eid int32) {
-	g := e.g
-	a, b := g.EdgeEndpoints(eid)
-	r := e.eo.Rank[eid]
-	e.stats.TopBranches++
-	e.S = append(e.S[:0], a, b)
+	e.openEdgeBranch(eid)
 	if e.inc.Count(eid) == 0 {
 		// No triangles through the edge: {a,b} is maximal.
 		e.emit(nil)
 		return
 	}
-	common := e.cnBuf[:0]
-	inC := 0
-	lo, hi := e.inc.Range(eid)
-	for t := lo; t < hi; t++ {
-		cn := commonNeighbor{w: e.inc.Third(t), ea: e.inc.CoSrc(t), eb: e.inc.CoDst(t)}
-		cn.cand = e.eo.Rank[cn.ea] > r && e.eo.Rank[cn.eb] > r
-		if cn.cand {
-			inC++
-		}
-		common = append(common, cn)
-	}
+	r := e.eo.Rank[eid]
+	common, inC := e.edgeCommon(eid, r, e.cnBuf[:0])
 	e.cnBuf = common
 	if inC == 0 {
 		// Every common neighbor blocks maximality and no candidate remains:
@@ -207,12 +194,57 @@ func (e *engine) runEdgeBranch(eid int32) {
 	if e.switchDepth <= 1 && !ablateTinyBranch && e.resolveTinyBranch(common, inC, r) {
 		return
 	}
-	// Candidates first. sideBuf keeps, per member, the cheaper of its two
-	// triangle side edges; rows are then filled from the incidence lists of
-	// those side edges instead of global adjacency scans. Exclusion members
-	// get rows too when the branch is recursion-heavy (they restore full
-	// Tomita pivot quality); on branch-setup-bound graphs the candidate rows
-	// alone are cheaper and sufficient.
+	e.runEdgeUniverse(common, inC, r, false)
+}
+
+// openEdgeBranch counts the top-level branch of edge eid and starts its
+// partial clique with the edge's endpoints.
+func (e *engine) openEdgeBranch(eid int32) {
+	a, b := e.g.EdgeEndpoints(eid)
+	e.stats.TopBranches++
+	e.S = append(e.S[:0], a, b)
+}
+
+// edgeCommon appends the common neighbors of edge eid (rank r) to buf, each
+// classified as a candidate or an exclusion member, and returns the list
+// with its candidate count.
+//
+//hbbmc:noalloc
+func (e *engine) edgeCommon(eid, r int32, buf []commonNeighbor) ([]commonNeighbor, int) {
+	inC := 0
+	lo, hi := e.inc.Range(eid)
+	for t := lo; t < hi; t++ {
+		cn := commonNeighbor{w: e.inc.Third(t), ea: e.inc.CoSrc(t), eb: e.inc.CoDst(t)}
+		cn.cand = e.eo.Rank[cn.ea] > r && e.eo.Rank[cn.eb] > r
+		if cn.cand {
+			inC++
+		}
+		buf = append(buf, cn)
+	}
+	return buf, inC
+}
+
+// edgeRowCount is the number of universe members of an edge branch that
+// get adjacency rows: the candidates, plus the exclusion members when the
+// branch is recursion-heavy (they restore full Tomita pivot quality); on
+// branch-setup-bound graphs the candidate rows alone are cheaper and
+// sufficient.
+func edgeRowCount(inC, universe int) int {
+	if withXRows(inC, universe) {
+		return universe
+	}
+	return inC
+}
+
+// runEdgeUniverse installs the universe of an edge branch with inC > 0
+// candidates among its common neighbors and runs the recursion on it. The
+// universe is laid out candidates first. sideBuf keeps, per row-bearing
+// member, the cheaper of its two triangle side edges; rows are filled from
+// the incidence lists of those side edges, or cut from the anchor group's
+// rows when cut is set (anchor.go), which yields the same rows.
+//
+//hbbmc:noalloc
+func (e *engine) runEdgeUniverse(common []commonNeighbor, inC int, r int32, cut bool) {
 	e.listBuf = e.listBuf[:0]
 	e.sideBuf = e.sideBuf[:0]
 	for _, cn := range common {
@@ -221,10 +253,7 @@ func (e *engine) runEdgeBranch(eid int32) {
 			e.sideBuf = append(e.sideBuf, e.cheapSide(cn))
 		}
 	}
-	rowCount := inC
-	if withXRows(inC, len(common)) {
-		rowCount = len(common)
-	}
+	rowCount := edgeRowCount(inC, len(common))
 	for _, cn := range common {
 		if !cn.cand {
 			e.listBuf = append(e.listBuf, cn.w)
@@ -235,10 +264,14 @@ func (e *engine) runEdgeBranch(eid int32) {
 	}
 	word := false
 	if e.switchDepth <= 1 && e.inner == InnerPivot && len(common) <= 64 && !ablateWordKernel {
-		word = e.installWordUniverse(e.listBuf, r, rowCount, inC)
+		word = e.installWordUniverse(e.listBuf, r, rowCount, inC, cut)
 	} else {
 		e.installUniverse(e.listBuf, r, rowCount)
-		e.fillRowsFromIncidence(r, rowCount)
+		if cut {
+			e.cutRows(rowCount)
+		} else {
+			e.fillRowsFromIncidence(r, rowCount)
+		}
 	}
 	if word {
 		e.wordPivotRec(lowBits(inC), lowBits(len(common))&^lowBits(inC))

@@ -50,6 +50,9 @@ type engine struct {
 	wordG, wordH [64]uint64
 	wordRows     uint64
 
+	// Rows shared by the edge branches of one anchor (anchor.go).
+	grp anchorGroup
+
 	rowArena *bitset.Arena // adjacency rows; reset per top-level branch
 	setArena *bitset.Arena // recursion sets; mark/release per node
 	cntArena i32Arena      // per-level int32 scratch; mark/release per node

@@ -320,7 +320,8 @@ type QueryOptions struct {
 	// resumable stream: everything delivered before BranchDone reports unit
 	// [lo, hi) belongs to residue + branches [0, hi). Implied by BranchDone
 	// when a visitor is set. No effect on one-worker runs, which deliver in
-	// order already.
+	// one deterministic order already: chunk by chunk, and inside a chunk
+	// the edge branches of the same anchor together (anchor.go).
 	OrderedEmit bool
 	// BranchLo and BranchHi restrict the query to the half-open interval
 	// [BranchLo, BranchHi) of top-level branch schedule positions — the
@@ -518,11 +519,13 @@ func (s *Session) enumerateRange(ctx context.Context, opts Options, rng branchRa
 		}
 	}
 	rc := newRunControl(ctx, opts)
-	plan := s.sessionPlan(
-		func(e *engine, p int) { e.runEdgeBranch(s.eo.Order[p]) },
+	plan := s.sessionPlan(nil,
 		func(e *engine, p int) { e.runVertexBranch(s.vertOrd, s.vertPos, p) },
 		(*engine).runWholeGraph)
 	edgeDriven := opts.Algorithm == EBBMC || opts.Algorithm == HBBMC
+	if edgeDriven {
+		plan.chunk = (*engine).runEdgeChunk
+	}
 	plan.residue = func(e *engine) {
 		e.emitReduced(s.red.Cliques)
 		if edgeDriven && !rc.halted() {

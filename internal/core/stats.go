@@ -78,10 +78,15 @@ type Stats struct {
 	// row-level costs, for runs that are not stopped early and at any
 	// worker count (Session.MaxClique excepted: its work depends on when
 	// the shared incumbent improves). UniverseEntries counts the
-	// incidence entries, adjacency entries or vertex-pair probes walked to
-	// fill branch-local full adjacency rows, and UniverseBits the row bits
-	// those walks set. PivotWords counts the 64-bit row words intersected
-	// with the candidate set by the pivot and candidate-degree scans.
+	// incidence entries, adjacency entries or vertex-pair probes a branch's
+	// own walk reads to fill its branch-local full adjacency rows, and
+	// UniverseBits the row bits set in those rows. An edge branch counts
+	// the triangle counts of its row-bearing members' cheaper side edges,
+	// also when its rows are cut from its anchor group's (anchor.go)
+	// instead: the group's shared walk depends on how chunks group the
+	// branches, the per-branch count does not. PivotWords counts the
+	// 64-bit row words intersected with the candidate set by the pivot and
+	// candidate-degree scans.
 	// Early termination and delivery are counted by EarlyTerminations,
 	// ETCliques and Cliques.
 	UniverseEntries int64 `json:"universe_entries"`

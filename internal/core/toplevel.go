@@ -27,6 +27,12 @@ type branchPlan struct {
 	// ordering position p in [0, n) on e.
 	n      int
 	branch func(e *engine, p int)
+	// chunk, when set, runs a whole claimed chunk [begin, end) on e in place
+	// of one branch call per position; sched maps its positions to raw ones
+	// when the run iterates the schedule. The edge branches of enumerate,
+	// count and top_k run this way, so the engine can share rows between
+	// the branches of a chunk (anchor.go).
+	chunk func(e *engine, sched []int32, begin, end int)
 	// schedule returns the cost-ordered branch schedule (schedule position →
 	// raw position), nil when the basis has none. The driver builds it only
 	// when it iterates schedule positions.
@@ -100,7 +106,9 @@ type worker struct {
 // Branch order: a run whose branches several workers share iterates the
 // cost-ordered schedule, expensive branches first; so does a run whose
 // positions must name schedule slots (a branch range, a BranchDone hook).
-// A lone worker otherwise iterates the raw ordering, which is cheaper.
+// A lone worker otherwise iterates the raw ordering, which is cheaper, as
+// one chunk. A plan with a chunk kernel may reorder the branches inside a
+// chunk, never across chunks.
 //
 // Delivery: one worker delivers straight to the visitor. Several workers
 // release ordered chunks when the caller asked for OrderedEmit or hooked a
@@ -252,6 +260,10 @@ func (d *driver) work(w *worker) {
 //hbbmc:ctxpoll
 func (d *driver) runChunk(e *engine, begin, end int) {
 	rc, sched, branch := d.rc, d.sched, d.plan.branch
+	if d.plan.chunk != nil {
+		d.plan.chunk(e, sched, begin, end)
+		return
+	}
 	for i := begin; i < end; i++ {
 		if rc.halted() {
 			return

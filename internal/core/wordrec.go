@@ -14,19 +14,42 @@ import "math/bits"
 // lowBits is the word of local ids [0, n), n ≤ 64.
 func lowBits(n int) uint64 { return uint64(1)<<n - 1 }
 
-// installWordUniverse is installUniverse plus fillRowsFromIncidence for an
-// edge branch of at most 64 members, with the rows built as words in
-// e.wordG/e.wordH. It reports whether the branch runs on the kernel: no
-// candidate edge is masked. Otherwise the word rows are copied into arena
-// rows for the generic masked recursion.
+// installWordUniverse is installUniverse plus the row fill for an edge
+// branch of at most 64 members, with the rows built as words in
+// e.wordG/e.wordH: walked from the side edges' incidence lists, or cut from
+// the anchor group's rows when cut is set. It reports whether the branch
+// runs on the kernel: no candidate edge is masked. Otherwise the word rows
+// are copied into arena rows for the generic masked recursion.
 //
 //hbbmc:noalloc
-func (e *engine) installWordUniverse(vs []int32, baseRank int32, rowCount, inC int) bool {
+func (e *engine) installWordUniverse(vs []int32, baseRank int32, rowCount, inC int, cut bool) bool {
 	e.installUniverse(vs, baseRank, 0)
 	e.wordRows = lowBits(rowCount)
+	var masked bool
+	if cut {
+		masked = e.cutWordRows(rowCount, inC)
+	} else {
+		masked = e.walkWordRows(baseRank, rowCount, inC)
+	}
+	if !masked && !ablateMaskFree {
+		return true
+	}
+	e.carveRows(rowCount)
+	for i := 0; i < rowCount; i++ {
+		e.adjG[i][0], e.adjH[i][0] = e.wordG[i], e.wordH[i]
+	}
+	return false
+}
+
+// walkWordRows fills the word rows of the installed universe from the
+// incidence lists of the members' side edges in e.sideBuf, and reports
+// whether a candidate edge is masked.
+//
+//hbbmc:noalloc
+func (e *engine) walkWordRows(baseRank int32, rowCount, inC int) bool {
 	cand := lowBits(inC)
-	maskFree := !ablateMaskFree
-	for i := range vs {
+	masked := false
+	for i := range e.verts {
 		var g, h uint64
 		if i < rowCount {
 			lo, hi, wIsDst := e.sideRange(i)
@@ -52,17 +75,10 @@ func (e *engine) installWordUniverse(vs []int32, baseRank int32, rowCount, inC i
 		// prefers over a candidate.
 		e.wordG[i], e.wordH[i] = g, h
 		if i < inC && (g^h)&cand != 0 {
-			maskFree = false
+			masked = true
 		}
 	}
-	if maskFree {
-		return true
-	}
-	e.carveRows(rowCount)
-	for i := 0; i < rowCount; i++ {
-		e.adjG[i][0], e.adjH[i][0] = e.wordG[i], e.wordH[i]
-	}
-	return false
+	return masked
 }
 
 // wordPivotRec is pivotRec on an unmasked universe of at most 64 members:

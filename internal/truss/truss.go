@@ -10,8 +10,6 @@
 package truss
 
 import (
-	"sort"
-
 	"github.com/graphmining/hbbmc/internal/graph"
 )
 
@@ -133,52 +131,56 @@ func Decompose(g *graph.Graph) *Decomposition {
 // positions of their endpoints (smaller position first, then the other
 // endpoint's position). This is the HBBMC-dgn baseline of Table VI.
 func DegeneracyEdgeOrder(g *graph.Graph, pos []int32) EdgeOrder {
-	return orderEdgesBy(g, func(e int32) (int64, int64) {
-		u, v := g.EdgeEndpoints(e)
-		pu, pv := int64(pos[u]), int64(pos[v])
-		if pu > pv {
-			pu, pv = pv, pu
-		}
-		return pu, pv
-	})
+	return orderEdgesBy(g, pos)
 }
 
 // MinDegreeEdgeOrder orders edges by the non-decreasing minimum degree of
 // their endpoints (an upper bound on the common-neighborhood size). This is
 // the HBBMC-mdg baseline of Table VI.
 func MinDegreeEdgeOrder(g *graph.Graph) EdgeOrder {
-	return orderEdgesBy(g, func(e int32) (int64, int64) {
-		u, v := g.EdgeEndpoints(e)
-		du, dv := int64(g.Degree(u)), int64(g.Degree(v))
-		if du > dv {
-			du, dv = dv, du
-		}
-		return du, dv
-	})
+	deg := make([]int32, g.NumVertices())
+	for v := range deg {
+		deg[v] = int32(g.Degree(int32(v)))
+	}
+	return orderEdgesBy(g, deg)
 }
 
-func orderEdgesBy(g *graph.Graph, key func(e int32) (int64, int64)) EdgeOrder {
+// orderEdgesBy orders the edges by the smaller of their endpoints' values
+// in val, then by the larger, then by edge id. Every value lies in [0, n),
+// so two stable counting passes over the edge ids, by the larger value and
+// then by the smaller, build the order in O(n + m).
+func orderEdgesBy(g *graph.Graph, val []int32) EdgeOrder {
 	m := g.NumEdges()
-	eo := EdgeOrder{
-		Rank:  make([]int32, m),
-		Order: make([]int32, m),
+	lo := make([]int32, m)
+	hi := make([]int32, m)
+	byHi := make([]int32, m)
+	for e := range lo {
+		u, v := g.EdgeEndpoints(int32(e))
+		lo[e], hi[e] = min(val[u], val[v]), max(val[u], val[v])
+		byHi[e] = int32(e)
 	}
-	for e := range eo.Order {
-		eo.Order[e] = int32(e)
-	}
-	sort.Slice(eo.Order, func(i, j int) bool {
-		a1, a2 := key(eo.Order[i])
-		b1, b2 := key(eo.Order[j])
-		if a1 != b1 {
-			return a1 < b1
-		}
-		if a2 != b2 {
-			return a2 < b2
-		}
-		return eo.Order[i] < eo.Order[j]
-	})
+	n := g.NumVertices()
+	byHi = countingSort(byHi, hi, n)
+	eo := EdgeOrder{Rank: make([]int32, m), Order: countingSort(byHi, lo, n)}
 	for i, e := range eo.Order {
 		eo.Rank[e] = int32(i)
 	}
 	return eo
+}
+
+// countingSort returns ids stably sorted by key[id], each key in [0, n).
+func countingSort(ids, key []int32, n int) []int32 {
+	start := make([]int32, n+1)
+	for _, e := range ids {
+		start[key[e]+1]++
+	}
+	for k := 1; k <= n; k++ {
+		start[k] += start[k-1]
+	}
+	out := make([]int32, len(ids))
+	for _, e := range ids {
+		out[start[key[e]]] = e
+		start[key[e]]++
+	}
+	return out
 }

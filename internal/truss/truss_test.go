@@ -1,9 +1,13 @@
 package truss
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
+	"github.com/graphmining/hbbmc/internal/dataset"
 	"github.com/graphmining/hbbmc/internal/graph"
 	"github.com/graphmining/hbbmc/internal/order"
 )
@@ -239,4 +243,87 @@ func MaxCandidateSize(g *graph.Graph, eo EdgeOrder) int {
 		}
 	}
 	return max
+}
+
+// sortedEdgeOrder is the comparison-sort reference for orderEdgesBy: edges
+// by the smaller endpoint value, then the larger, then edge id.
+func sortedEdgeOrder(g *graph.Graph, val []int32) []int32 {
+	key := func(e int32) (int32, int32) {
+		u, v := g.EdgeEndpoints(e)
+		return min(val[u], val[v]), max(val[u], val[v])
+	}
+	order := make([]int32, g.NumEdges())
+	for e := range order {
+		order[e] = int32(e)
+	}
+	sort.Slice(order, func(i, j int) bool {
+		a1, a2 := key(order[i])
+		b1, b2 := key(order[j])
+		if a1 != b1 {
+			return a1 < b1
+		}
+		if a2 != b2 {
+			return a2 < b2
+		}
+		return order[i] < order[j]
+	})
+	return order
+}
+
+// TestEdgeOrdersMatchSort pins the counting-sort edge orders to the
+// comparison-sort reference, ties by edge id included, on the stand-ins and
+// on random graphs.
+func TestEdgeOrdersMatchSort(t *testing.T) {
+	graphs := map[string]*graph.Graph{}
+	for _, spec := range dataset.All() {
+		graphs[spec.Name] = spec.Build()
+	}
+	rng := rand.New(rand.NewSource(22))
+	for i := 0; i < 20; i++ {
+		n := 1 + rng.Intn(200)
+		graphs[fmt.Sprintf("random%d", i)] = randomGraph(rng, n, rng.Intn(4*n+1))
+	}
+	graphs["empty"] = graph.NewBuilder(0).MustBuild()
+	for name, g := range graphs {
+		pos := order.DegeneracyOrdering(g).Pos
+		deg := make([]int32, g.NumVertices())
+		for v := range deg {
+			deg[v] = int32(g.Degree(int32(v)))
+		}
+		for _, tc := range []struct {
+			kind string
+			eo   EdgeOrder
+			want []int32
+		}{
+			{"degeneracy", DegeneracyEdgeOrder(g, pos), sortedEdgeOrder(g, pos)},
+			{"mindegree", MinDegreeEdgeOrder(g), sortedEdgeOrder(g, deg)},
+		} {
+			if !slices.Equal(tc.eo.Order, tc.want) {
+				t.Fatalf("%s/%s: order differs from the sorted reference", name, tc.kind)
+			}
+			for i, e := range tc.eo.Order {
+				if tc.eo.Rank[e] != int32(i) {
+					t.Fatalf("%s/%s: Rank is not the inverse of Order", name, tc.kind)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkEdgeOrders builds the degeneracy and min-degree edge orders of
+// all 16 stand-ins per iteration.
+func BenchmarkEdgeOrders(b *testing.B) {
+	var graphs []*graph.Graph
+	var pos [][]int32
+	for _, spec := range dataset.All() {
+		g := spec.Build()
+		graphs = append(graphs, g)
+		pos = append(pos, order.DegeneracyOrdering(g).Pos)
+	}
+	for b.Loop() {
+		for i, g := range graphs {
+			DegeneracyEdgeOrder(g, pos[i])
+			MinDegreeEdgeOrder(g)
+		}
+	}
 }

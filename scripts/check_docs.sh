@@ -4,7 +4,10 @@
 #
 #   * every flag the binary defines (flag.FlagSet output via -h) must
 #     appear as `-flag` in the README section for that tool;
-#   * every `-flag` the README section documents must exist in the binary.
+#   * every `-flag` the README section documents must exist in the binary;
+#
+# and that every repository document (`NAME.md`) a .go file, README.md or
+# ARCHITECTURE.md names exists somewhere in the repository.
 #
 # Run by the CI lint job; run locally with ./scripts/check_docs.sh.
 set -euo pipefail
@@ -57,7 +60,23 @@ check() {
 check mce '### `mce` flags'
 check mced '### `mced` flags'
 
+# Documents named by the sources and the two top-level guides. A name
+# resolves when a file of that name exists anywhere in the checkout.
+prune=(-path ./.git -prune -o -path ./.bench_build -prune -o)
+docs=$(find . "${prune[@]}" -name '*.md' -print | sed 's|.*/||' | sort -u)
+named=$({ find . "${prune[@]}" -name '*.go' -print; echo README.md; echo ARCHITECTURE.md; } |
+  xargs grep -ohE '[A-Za-z0-9_][A-Za-z0-9_-]*\.md\b' | sort -u || true)
+for d in $named; do
+  if ! grep -qx -- "$d" <<<"$docs"; then
+    echo "check_docs: $d is named by $(
+      { find . "${prune[@]}" -name '*.go' -print; echo ./README.md; echo ./ARCHITECTURE.md; } |
+        xargs grep -lE "(^|[^A-Za-z0-9_-])$d" | tr '\n' ' '
+    )but does not exist" >&2
+    fail=1
+  fi
+done
+
 if [ "$fail" -eq 0 ]; then
-  echo "check_docs: README flag tables match the mce/mced flag sets"
+  echo "check_docs: README flag tables match the mce/mced flag sets; every named document exists"
 fi
 exit "$fail"
