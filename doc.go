@@ -158,6 +158,13 @@
 //     matrix over the union of its universes and cuts each branch's rows
 //     from them with word operations, instead of walking one triangle
 //     list per member and branch.
+//   - Word kernels. An HBBMC edge branch whose universe has at most 128
+//     members, masked or not, runs the Tomita pivot recursion on candidate
+//     and exclusion sets of one or two machine words passed by value, with
+//     two-word adjacency rows, making the bitset path's choices at every
+//     node. The partial clique holds original vertex ids, so a reported
+//     clique is mapped only in its last few vertices and copied once for
+//     the Visitor.
 //
 // Every query accounts its hot-path work in counts rather than time:
 // Stats.UniverseEntries and Stats.UniverseBits count the entries a

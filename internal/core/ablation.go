@@ -22,8 +22,9 @@ var (
 	// branches in the driver's schedule, reverting to raw edge/vertex
 	// ordering positions.
 	ablateCostOrder bool
-	// ablateWordKernel sends HBBMC edge branches of at most 64 members
-	// through the generic bitset path instead of the one-word kernel.
+	// ablateWordKernel sends HBBMC edge branches of at most 128 members,
+	// masked ones included, through the generic bitset path instead of the
+	// word kernels.
 	ablateWordKernel bool
 	// ablateAnchorRows makes every edge branch of an anchor group walk its
 	// own rows instead of cutting them from the group's; the branches still

@@ -33,22 +33,38 @@ func warmEngine(t *testing.T, g *graph.Graph, opts Options) (*Session, *engine) 
 // hybrid edge-driven recursion with early termination enabled. The planted
 // graph's edge branches all fit one word, so HBBMC_ET3 runs the one-word
 // kernel and HBBMC_ET3_generic the bitset path it replaces.
-// HBBMC_ET3_grouped runs the whole edge ordering as one chunk on a graph
-// whose anchor groups share rows (TestAnchorGroupShapes).
+// HBBMC_ET3_two_word runs universes of 65–128 members on the two-word
+// kernel, HBBMC_ET3_masked masked universes of both widths on the word
+// kernels (TestWordKernelBoundary's graph), and HBBMC_ET3_grouped the
+// whole edge ordering as one chunk on a graph whose anchor groups share
+// rows (TestAnchorGroupShapes).
 func TestRecursionAllocFree(t *testing.T) {
 	planted := gen.NoisyCliques(300, 20, 8, 600, 11)
+	twoWord := func(sizes map[int]bool, _ [2]int) bool {
+		for k := range sizes {
+			if k > 64 && k <= maxWordUniverse {
+				return true
+			}
+		}
+		return false
+	}
+	masked := func(_ map[int]bool, masked [2]int) bool { return masked[0] > 0 && masked[1] > 0 }
 	cases := []struct {
 		name    string
 		g       *graph.Graph
 		opts    Options
 		ablate  *bool
 		grouped bool
+		// shape, when set, is the branch shape (branchShapes) g must reach.
+		shape func(map[int]bool, [2]int) bool
 	}{
-		{"BKDegen", planted, Options{Algorithm: BKDegen}, nil, false},
-		{"HBBMC_ET3", planted, Options{Algorithm: HBBMC, ET: 3}, nil, false},
-		{"HBBMC_ET3_generic", planted, Options{Algorithm: HBBMC, ET: 3}, &ablateWordKernel, false},
-		{"EBBMC", planted, Options{Algorithm: EBBMC}, nil, false},
-		{"HBBMC_ET3_grouped", allocGraph(), Options{Algorithm: HBBMC, ET: 3}, nil, true},
+		{"BKDegen", planted, Options{Algorithm: BKDegen}, nil, false, nil},
+		{"HBBMC_ET3", planted, Options{Algorithm: HBBMC, ET: 3}, nil, false, nil},
+		{"HBBMC_ET3_generic", planted, Options{Algorithm: HBBMC, ET: 3}, &ablateWordKernel, false, nil},
+		{"HBBMC_ET3_two_word", gen.NoisyCliques(150, 1, 67, 100, 11), Options{Algorithm: HBBMC, ET: 3}, nil, false, twoWord},
+		{"HBBMC_ET3_masked", kernelBoundaryGraph(4), Options{Algorithm: HBBMC, ET: 3}, nil, false, masked},
+		{"EBBMC", planted, Options{Algorithm: EBBMC}, nil, false, nil},
+		{"HBBMC_ET3_grouped", allocGraph(), Options{Algorithm: HBBMC, ET: 3}, nil, true, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -57,6 +73,11 @@ func TestRecursionAllocFree(t *testing.T) {
 				defer func() { *tc.ablate = false }()
 			}
 			s, e := warmEngine(t, tc.g, tc.opts)
+			if tc.shape != nil {
+				if sizes, masked := branchShapes(s); !tc.shape(sizes, masked) {
+					t.Fatalf("%s: the graph does not reach the branch shape the case is for", tc.name)
+				}
+			}
 			run := func() {
 				switch {
 				case tc.grouped:

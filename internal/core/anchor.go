@@ -62,15 +62,21 @@ type anchorGroup struct {
 	words int
 	rows  []uint64
 	// pend queues the live insertions of edges ranked between the group's
-	// last and first branch as ^rank<<32 | row<<16 | column, sorted highest
-	// rank first; next is the first one not yet inserted.
-	pend []uint64
-	next int
+	// last and first branch as row<<16 | column, bucketed by the first
+	// branch ranked below the edge: due[k] ends the insertions due before
+	// branch k, and next is the first one not yet inserted. walked holds
+	// them in walk order, each with its bucket in the upper half.
+	pend   []uint32
+	due    []int32
+	next   int
+	walked []uint64
 
 	// The current branch over W: its members (sets[:words]), its
-	// candidates (sets[words:]) and each member's local id.
+	// candidates (sets[words:]) and each member's local id, also as the
+	// one-member word2 the word kernels' cut ORs in.
 	sets []uint64
 	lid  []int32
+	bit  []word2
 }
 
 // groupMember is one member of W: its residual id, its side edge through
@@ -167,7 +173,7 @@ func (e *engine) runAnchorGroup(a int32, keys []uint64) {
 		}
 		br := &g.br[k]
 		if cut {
-			g.advance(br.rank)
+			g.advance(k)
 		}
 		e.openEdgeBranch(br.eid)
 		if br.inC > 0 {
@@ -248,12 +254,13 @@ func (g *anchorGroup) build(e *engine) {
 	}
 	if cap(g.lid) < n { //hbbmc:allowalloc amortised growth to the largest group seen
 		g.lid = make([]int32, n)
+		g.bit = make([]word2, n)
 		g.sets = make([]uint64, 2*g.words)
 	}
-	g.rows, g.sets, g.lid = g.rows[:2*n*g.words], g.sets[:2*g.words], g.lid[:n]
+	g.rows, g.sets, g.lid, g.bit = g.rows[:2*n*g.words], g.sets[:2*g.words], g.lid[:n], g.bit[:n]
 	clear(g.rows)
 	first, last := g.br[0].rank, g.br[len(g.br)-1].rank
-	g.pend, g.next = g.pend[:0], 0
+	g.walked = g.walked[:0]
 	for j, m := range g.w {
 		if !m.row {
 			continue
@@ -278,23 +285,67 @@ func (g *anchorGroup) build(e *engine) {
 			case q > first || q > min(ra, e.eo.Rank[g.w[x].side]):
 				live[x>>6] |= bit
 			case q > last:
-				g.pend = append(g.pend, uint64(^uint32(q))<<32|uint64(j)<<16|uint64(x))
+				g.walked = append(g.walked, uint64(g.dueBefore(q))<<32|uint64(j)<<16|uint64(x))
 			}
 		}
 	}
-	slices.Sort(g.pend)
+	g.bucket()
 }
 
-// advance inserts into live the queued edges ranked above r.
+// dueBefore returns the first branch of the group ranked below q, by
+// binary search over the decreasing ranks.
 //
 //hbbmc:noalloc
-func (g *anchorGroup) advance(r int32) {
-	for ; g.next < len(g.pend); g.next++ {
-		p := g.pend[g.next]
-		if keyRank(p>>32) <= r {
-			return
+func (g *anchorGroup) dueBefore(q int32) int {
+	lo, hi := 0, len(g.br)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if g.br[mid].rank < q {
+			hi = mid
+		} else {
+			lo = mid + 1
 		}
-		_, live := g.rowOf(int32(p >> 16 & 0xffff))
+	}
+	return lo
+}
+
+// bucket lays the walked insertions out in pend by bucket, with one
+// counting pass, and leaves in due[k] the end of bucket k. Inside a bucket
+// the order does not matter: a bit set is a bit set.
+//
+//hbbmc:noalloc
+func (g *anchorGroup) bucket() {
+	n := len(g.br)
+	if cap(g.due) < n { //hbbmc:allowalloc amortised growth to the largest group seen
+		g.due = make([]int32, n)
+	}
+	if cap(g.pend) < len(g.walked) { //hbbmc:allowalloc amortised growth to the largest group seen
+		g.pend = make([]uint32, len(g.walked))
+	}
+	g.due, g.pend, g.next = g.due[:n], g.pend[:len(g.walked)], 0
+	clear(g.due)
+	for _, p := range g.walked {
+		g.due[p>>32]++
+	}
+	start := int32(0)
+	for k, c := range g.due {
+		g.due[k], start = start, start+c
+	}
+	for _, p := range g.walked {
+		k := p >> 32
+		g.pend[g.due[k]] = uint32(p)
+		g.due[k]++
+	}
+}
+
+// advance inserts into live the queued edges due before branch k: those
+// ranked above it.
+//
+//hbbmc:noalloc
+func (g *anchorGroup) advance(k int) {
+	for ; g.next < int(g.due[k]); g.next++ {
+		p := g.pend[g.next]
+		_, live := g.rowOf(int32(p >> 16))
 		x := p & 0xffff
 		live[x>>6] |= 1 << (x & 63)
 	}
@@ -317,7 +368,7 @@ func (g *anchorGroup) enter(vs []int32, inC int) {
 	mask, cand := g.sets[:g.words], g.sets[g.words:]
 	for i, v := range vs {
 		j := g.idx[v] - 1
-		g.lid[j] = int32(i)
+		g.lid[j], g.bit[j] = int32(i), bit2[i&(maxWordUniverse-1)]
 		mask[j>>6] |= 1 << (j & 63)
 		if i < inC {
 			cand[j>>6] |= 1 << (j & 63)
@@ -331,15 +382,15 @@ func (g *anchorGroup) rowOf(j int32) (full, live []uint64) {
 	return g.rows[at : at+g.words], g.rows[at+g.words : at+2*g.words]
 }
 
-// cutWord returns row ∩ U as a word over the current branch's local ids,
-// the one-word kernel's form of cutInto.
+// cutWord returns row ∩ U as a word2 over the current branch's local ids,
+// the word kernels' form of cutInto.
 //
 //hbbmc:noalloc
-func (g *anchorGroup) cutWord(row []uint64) uint64 {
-	var out uint64
+func (g *anchorGroup) cutWord(row []uint64) word2 {
+	var out word2
 	for wi, m := range g.sets[:g.words] {
 		for b := row[wi] & m; b != 0; b &= b - 1 {
-			out |= 1 << g.lid[wi<<6|bits.TrailingZeros64(b)]
+			out = out.or(g.bit[wi<<6|bits.TrailingZeros64(b)])
 		}
 	}
 	return out
@@ -383,19 +434,19 @@ func (e *engine) cutWordRows(rowCount, inC int) bool {
 	g.enter(e.verts, inC)
 	masked := false
 	for i, v := range e.verts {
-		var row uint64
+		var row word2
 		if i < rowCount {
 			full, live := g.rowOf(g.idx[v] - 1)
 			row = g.cutWord(full)
 			masked = masked || (i < inC && g.maskedIn(full, live))
 			e.stats.UniverseEntries += int64(e.inc.Count(e.sideBuf[i]))
-			e.stats.UniverseBits += int64(bits.OnesCount64(row))
+			e.stats.UniverseBits += int64(row.count())
 		}
 		e.wordG[i] = row
 	}
 	if masked || ablateMaskFree {
 		for i, v := range e.verts {
-			var row uint64
+			var row word2
 			if i < rowCount {
 				_, live := g.rowOf(g.idx[v] - 1)
 				row = g.cutWord(live)

@@ -132,7 +132,7 @@ func (e *engine) runVertexBranch(ord, pos []int32, p int) {
 	for j := inC; j < len(nbrs); j++ {
 		X.Set(j)
 	}
-	e.S = append(e.S[:0], v)
+	e.S = append(e.S[:0], e.origOf(v))
 	e.stats.TopBranches++
 	e.vertexRec(nil, C, X)
 }
@@ -149,7 +149,7 @@ func (e *engine) runIsolatedVertices() {
 			return
 		}
 		if e.g.Degree(v) == 0 {
-			e.S = append(e.S[:0], v)
+			e.S = append(e.S[:0], e.origOf(v))
 			e.emit(nil)
 		}
 	}
@@ -202,7 +202,7 @@ func (e *engine) runEdgeBranch(eid int32) {
 func (e *engine) openEdgeBranch(eid int32) {
 	a, b := e.g.EdgeEndpoints(eid)
 	e.stats.TopBranches++
-	e.S = append(e.S[:0], a, b)
+	e.S = append(e.S[:0], e.origOf(a), e.origOf(b))
 }
 
 // edgeCommon appends the common neighbors of edge eid (rank r) to buf, each
@@ -262,20 +262,23 @@ func (e *engine) runEdgeUniverse(common []commonNeighbor, inC int, r int32, cut 
 			}
 		}
 	}
-	word := false
-	if e.switchDepth <= 1 && e.inner == InnerPivot && len(common) <= 64 && !ablateWordKernel {
-		word = e.installWordUniverse(e.listBuf, r, rowCount, inC, cut)
-	} else {
-		e.installUniverse(e.listBuf, r, rowCount)
-		if cut {
-			e.cutRows(rowCount)
+	if k := len(common); e.wordKernel(k) {
+		// Without the mask-free check every branch starts masked, as the
+		// generic path's does.
+		masked := e.installWordUniverse(e.listBuf, r, rowCount, inC, cut) || ablateMaskFree
+		if k <= 64 {
+			e.wordPivotRec(lowBits(inC), lowBits(k)&^lowBits(inC), masked)
 		} else {
-			e.fillRowsFromIncidence(r, rowCount)
+			cand := lowBits2(inC)
+			e.wordPivotRec2(cand, lowBits2(k).andNot(cand), masked)
 		}
-	}
-	if word {
-		e.wordPivotRec(lowBits(inC), lowBits(len(common))&^lowBits(inC))
 		return
+	}
+	e.installUniverse(e.listBuf, r, rowCount)
+	if cut {
+		e.cutRows(rowCount)
+	} else {
+		e.fillRowsFromIncidence(r, rowCount)
 	}
 	C := e.setArena.Get()
 	X := e.setArena.Get()
@@ -303,6 +306,15 @@ func (e *engine) runEdgeUniverse(common []commonNeighbor, inC int, r int32, cut 
 	}
 }
 
+// wordKernel reports whether an edge branch with a universe of k members
+// runs on the word kernels (wordrec.go): HBBMC at switch depth 1 with the
+// Tomita pivot inner recursion, up to maxWordUniverse members. The mask
+// drop's ablation keeps the generic path.
+func (e *engine) wordKernel(k int) bool {
+	return e.switchDepth <= 1 && e.inner == InnerPivot && k <= maxWordUniverse &&
+		!ablateWordKernel && !ablateMaskDrop
+}
+
 // resolveTinyBranch closes top-level branches with at most two common
 // neighbors directly; they are by far the most frequent case on sparse
 // graphs and need no universe. Returns false when the general machinery
@@ -316,7 +328,7 @@ func (e *engine) resolveTinyBranch(common []commonNeighbor, inC int, r int32) bo
 	if len(common) == 1 {
 		// Single candidate (inC == 1 here — inC == 0 was handled earlier):
 		// S ∪ {w} has no possible extension or blocker.
-		e.S = append(e.S, common[0].w)
+		e.S = append(e.S, e.origOf(common[0].w))
 		e.emit(nil)
 		e.S = e.S[:len(e.S)-1]
 		return true
@@ -328,15 +340,15 @@ func (e *engine) resolveTinyBranch(common []commonNeighbor, inC int, r int32) bo
 		if we >= 0 && e.eo.Rank[we] > r {
 			// Candidate edge present: S ∪ {w1,w2} is the unique maximal
 			// clique of the branch.
-			e.S = append(e.S, w1.w, w2.w)
+			e.S = append(e.S, e.origOf(w1.w), e.origOf(w2.w))
 			e.emit(nil)
 			e.S = e.S[:len(e.S)-2]
 		} else if we < 0 {
 			// Independent candidates: each extends S maximally. Unrolled —
 			// a slice literal here would allocate on every tiny branch.
-			e.S = append(e.S, w1.w)
+			e.S = append(e.S, e.origOf(w1.w))
 			e.emit(nil)
-			e.S[len(e.S)-1] = w2.w
+			e.S[len(e.S)-1] = e.origOf(w2.w)
 			e.emit(nil)
 			e.S = e.S[:len(e.S)-1]
 		}
@@ -350,7 +362,7 @@ func (e *engine) resolveTinyBranch(common []commonNeighbor, inC int, r int32) bo
 		if we < 0 {
 			// The exclusion vertex is not adjacent to the candidate, so it
 			// does not block S ∪ {cand}.
-			e.S = append(e.S, cand.w)
+			e.S = append(e.S, e.origOf(cand.w))
 			e.emit(nil)
 			e.S = e.S[:len(e.S)-1]
 		}

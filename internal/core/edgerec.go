@@ -123,7 +123,7 @@ func (e *engine) edgeRec(C, X bitset.Set, maxRank int32, depth int) {
 				}
 			}
 		}
-		e.S = append(e.S, e.verts[x], e.verts[y])
+		e.S = append(e.S, e.orig[x], e.orig[y])
 		if depth+1 >= e.switchDepth {
 			e.switchToVertex(childC, childX, f.rank)
 		} else {
@@ -145,7 +145,7 @@ func (e *engine) edgeRec(C, X bitset.Set, maxRank int32, depth int) {
 			if e.adjG[v].AndAny(X) || e.adjG[v].AndAny(C) {
 				continue
 			}
-			e.S = append(e.S, e.verts[v])
+			e.S = append(e.S, e.orig[v])
 			e.emit(nil)
 			e.S = e.S[:len(e.S)-1]
 		}

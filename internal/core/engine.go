@@ -38,6 +38,7 @@ type engine struct {
 	// engine setup stays O(universe), with no teardown pass and no O(n)
 	// refill.
 	verts      []int32      // local id -> residual id
+	orig       []int32      // local id -> original id (verts itself when GR removed nothing)
 	local      []uint64     // residual id -> epoch<<32 | local id
 	localEpoch uint32       // current universe's stamp
 	univ       bitset.Set   // residual-id membership bitmap of the universe
@@ -45,10 +46,10 @@ type engine struct {
 	adjH       []bitset.Set // masked adjacency (edge rank > branch base rank)
 	masked     bool
 
-	// Full and masked rows of a universe of at most 64 members, one word
+	// Full and masked rows of a universe of at most 128 members, two words
 	// each (wordrec.go); wordRows marks the members whose rows were built.
-	wordG, wordH [64]uint64
-	wordRows     uint64
+	wordG, wordH [maxWordUniverse]word2
+	wordRows     word2
 
 	// Rows shared by the edge branches of one anchor (anchor.go).
 	grp anchorGroup
@@ -57,9 +58,8 @@ type engine struct {
 	setArena *bitset.Arena // recursion sets; mark/release per node
 	cntArena i32Arena      // per-level int32 scratch; mark/release per node
 
-	S       []int32          // current partial clique (residual ids)
-	resBuf  []int32          // residual-id assembly buffer for emits
-	emitBuf []int32          // original-id buffer handed to emitFn
+	S       []int32          // current partial clique (original ids)
+	emitBuf []int32          // the copy of a clique handed to emitFn
 	listBuf []int32          // scratch for materialised candidate lists
 	sideBuf []int32          // per-candidate side-edge ids for incidence row fills
 	cnBuf   []commonNeighbor // per-branch common-neighbor scratch
@@ -181,6 +181,14 @@ func (e *engine) installUniverse(vs []int32, baseRank int32, rowCount int) int64
 		e.univ.Unset(int(v))
 	}
 	e.verts = append(e.verts[:0], vs...)
+	if e.red.NumRemoved == 0 {
+		e.orig = e.verts // OrigID is the identity
+	} else {
+		e.orig = e.orig[:0]
+		for _, v := range vs {
+			e.orig = append(e.orig, e.red.OrigID[v])
+		}
+	}
 	e.masked = baseRank >= 0
 	e.rowArena.Reset(k)
 	e.setArena.Reset(k)
@@ -360,11 +368,15 @@ func (e *engine) rankOfLocal(i, j int) int32 {
 	return e.eo.Rank[eid]
 }
 
+// origOf returns the original id of residual vertex v.
+func (e *engine) origOf(v int32) int32 { return e.red.OrigID[v] }
+
 // emit reports the clique formed by the current partial clique S plus the
-// given local universe vertices. It applies the removed-dominator filter of
-// the graph reduction, consumes the clique budget, maps residual ids back
-// to original ids and invokes the user visitor; a visitor returning false
-// latches the run's stop flag.
+// given local universe vertices. It pushes the extras' original ids onto S
+// while the clique is reported, applies the removed-dominator filter of the
+// graph reduction, consumes the clique budget and hands the visitor a copy;
+// a visitor returning false latches the run's stop flag. A count copies
+// nothing.
 //
 //hbbmc:noalloc
 func (e *engine) emit(extraLocal []int32) {
@@ -375,30 +387,26 @@ func (e *engine) emit(extraLocal []int32) {
 	if e.rc.stopped() {
 		return
 	}
-	e.resBuf = append(e.resBuf[:0], e.S...)
+	depth := len(e.S)
 	for _, li := range extraLocal {
-		e.resBuf = append(e.resBuf, e.verts[li])
+		e.S = append(e.S, e.orig[li])
 	}
-	if e.red.NumRemoved > 0 && e.red.HasRemovedDominator(e.resBuf) {
+	switch {
+	case e.red.NumRemoved > 0 && e.red.HasRemovedDominator(e.S):
 		e.stats.SuppressedLeaves++
-		return
-	}
-	if !e.rc.take() {
-		return
-	}
-	e.stats.Cliques++
-	if len(e.resBuf) > e.stats.MaxCliqueSize {
-		e.stats.MaxCliqueSize = len(e.resBuf)
-	}
-	if e.emitFn != nil {
-		e.emitBuf = e.emitBuf[:0]
-		for _, r := range e.resBuf {
-			e.emitBuf = append(e.emitBuf, e.red.OrigID[r])
-		}
-		if !e.emitFn(e.emitBuf) {
-			e.rc.stop.Store(true)
+	case e.rc.take():
+		e.stats.Cliques++
+		e.stats.MaxCliqueSize = max(e.stats.MaxCliqueSize, len(e.S))
+		if e.emitFn != nil {
+			// The visitor may scribble on its slice until it returns, and
+			// S is the recursion's own state.
+			e.emitBuf = append(e.emitBuf[:0], e.S...)
+			if !e.emitFn(e.emitBuf) {
+				e.rc.stop.Store(true)
+			}
 		}
 	}
+	e.S = e.S[:depth]
 }
 
 // emitSet is emit for a bitset of local vertices.

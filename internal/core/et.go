@@ -54,24 +54,27 @@ func (e *engine) emitPlexDirect(C bitset.Set, cSize int) bool {
 	return true
 }
 
-// emitPlexWord is emitPlexDirect for a one-word universe (wordrec.go): a
-// candidate's complement neighbors are C &^ row &^ itself.
+// emitPlexWord is emitPlexDirect for the word kernels (wordrec.go), one or
+// two words wide: a candidate's complement neighbors are C &^ row &^
+// itself, taken in bit order as emitPlexDirect takes them.
 //
 //hbbmc:noalloc
-func (e *engine) emitPlexWord(C uint64) bool {
+func (e *engine) emitPlexWord(C word2) bool {
 	e.beginComplement()
-	for cw := C; cw != 0; cw &= cw - 1 {
-		v := bits.TrailingZeros64(cw)
-		comp := C &^ e.wordG[v] &^ (1 << v)
-		switch bits.OnesCount64(comp) {
-		case 0:
-			e.fBuf = append(e.fBuf, int32(v))
-		case 1:
-			e.addComplement(v, bits.TrailingZeros64(comp), -1)
-		case 2:
-			e.addComplement(v, bits.TrailingZeros64(comp), 63-bits.LeadingZeros64(comp))
-		default:
-			return false
+	for wi, cw := range [2]uint64{C.lo, C.hi} {
+		for ; cw != 0; cw &= cw - 1 {
+			v := wi<<6 | bits.TrailingZeros64(cw)
+			comp := C.andNot(e.wordG[v]).without(v)
+			switch comp.count() {
+			case 0:
+				e.fBuf = append(e.fBuf, int32(v))
+			case 1:
+				e.addComplement(v, comp.first(), -1)
+			case 2:
+				e.addComplement(v, comp.first(), comp.last())
+			default:
+				return false
+			}
 		}
 	}
 	e.emitComplement()

@@ -59,16 +59,12 @@ func (m *mcShared) snapshot() []int32 {
 	return out
 }
 
-// offerS maps the engine's current partial clique S to original ids and
-// offers it as the incumbent. Deliberately outside the noalloc recursion:
-// the incumbent copy may allocate, but improvements happen at most ω times
-// per worker while leaves are reached exponentially often.
+// offerS offers the engine's current partial clique S (original ids) as
+// the incumbent. Deliberately outside the noalloc recursion: the incumbent
+// copy may allocate, but improvements happen at most ω times per worker
+// while leaves are reached exponentially often.
 func (e *engine) offerS(mc *mcShared) {
-	e.emitBuf = e.emitBuf[:0]
-	for _, v := range e.S {
-		e.emitBuf = append(e.emitBuf, e.red.OrigID[v])
-	}
-	if mc.offer(e.emitBuf) {
+	if mc.offer(e.S) {
 		e.stats.IncumbentUpdates++
 	}
 	if len(e.S) > e.stats.MaxCliqueSize {
@@ -146,7 +142,7 @@ func (e *engine) maxCliqueRec(adj []bitset.Set, C bitset.Set, cSize int, mc *mcS
 		}
 		v := int(order[i])
 		cnt := childC.AndIntoCount(C, adj[v])
-		e.S = append(e.S, e.verts[v])
+		e.S = append(e.S, e.orig[v])
 		if cnt == 0 {
 			e.offerS(mc)
 		} else {
@@ -183,7 +179,7 @@ func (e *engine) runVertexMaxBranch(ord, pos []int32, p int, mc *mcShared) {
 		e.stats.BnBPrunes++
 		return
 	}
-	e.S = append(e.S[:0], v)
+	e.S = append(e.S[:0], e.origOf(v))
 	if inC == 0 {
 		e.offerS(mc)
 		return
@@ -216,7 +212,7 @@ func (e *engine) runEdgeMaxBranch(eid int32, mc *mcShared) {
 		e.stats.BnBPrunes++
 		return
 	}
-	e.S = append(e.S[:0], a, b)
+	e.S = append(e.S[:0], e.origOf(a), e.origOf(b))
 	e.listBuf = e.listBuf[:0]
 	e.sideBuf = e.sideBuf[:0]
 	lo, hi := e.inc.Range(eid)

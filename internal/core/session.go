@@ -168,7 +168,7 @@ func NewSession(g *graph.Graph, opts Options) (*Session, error) {
 		case EdgeOrderDegeneracy:
 			d := order.DegeneracyOrdering(s.res)
 			s.delta = d.Value
-			s.eo, s.inc = truss.DegeneracyEdgeOrder(s.res, d.Pos), truss.BuildIncidence(s.res)
+			s.eo, s.inc = truss.DegeneracyEdgeOrder(s.res, d.Pos), truss.BuildIncidenceFrom(s.res, d.Pos)
 		case EdgeOrderMinDegree:
 			s.eo, s.inc = truss.MinDegreeEdgeOrder(s.res), truss.BuildIncidence(s.res)
 		}

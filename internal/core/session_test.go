@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"testing"
 
 	"github.com/graphmining/hbbmc/internal/gen"
+	"github.com/graphmining/hbbmc/internal/graph"
+	"github.com/graphmining/hbbmc/internal/verify"
 )
 
 func TestRunControlBudget(t *testing.T) {
@@ -154,6 +157,58 @@ func TestSessionQueriesMatchLegacyDrivers(t *testing.T) {
 		if err != nil || int64(len(cliques)) != want || stats.Cliques != want {
 			t.Fatalf("%v: session collected %d (stats %d, err %v), legacy %d",
 				opts.Algorithm, len(cliques), stats.Cliques, err, want)
+		}
+	}
+}
+
+// TestVisitorScribbleKeepsCliques hands every clique to a visitor that
+// overwrites the whole slice before returning: the engine must still
+// report the reference clique set, so the slice it hands out is never its
+// partial clique or a cached reduction clique. It runs at one and two
+// workers on a graph the reduction shrinks (original ids differ from
+// residual ones) and on one it leaves whole, under configurations that
+// emit from the word kernels, early termination, BK_Rcd's clique sets and
+// the vertex-oriented top level.
+func TestVisitorScribbleKeepsCliques(t *testing.T) {
+	graphs := []struct {
+		name    string
+		g       *graph.Graph
+		reduced bool
+	}{
+		{"reduced", gen.NoisyCliques(400, 40, 9, 900, 11), true},
+		{"whole", kernelBoundaryGraph(4), false},
+	}
+	configs := []Options{
+		Defaults(),
+		{Algorithm: HBBMC, ET: 3, GR: true, Inner: InnerRcd},
+		{Algorithm: BKRef, ET: 3, GR: true},
+	}
+	for _, in := range graphs {
+		want := referenceFor(in.g)
+		for _, opts := range configs {
+			s, err := NewSession(in.g, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reduced := s.red.NumRemoved > 0; reduced != in.reduced {
+				t.Fatalf("%s: the reduction removed %d vertices", in.name, s.red.NumRemoved)
+			}
+			for _, workers := range []int{1, 2} {
+				var got [][]int32
+				_, err := s.EnumerateWith(context.Background(), QueryOptions{Workers: workers}, func(c []int32) bool {
+					got = append(got, slices.Clone(c))
+					for i := range c {
+						c[i] = -1
+					}
+					return true
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := verify.Diff(got, want); d != "" {
+					t.Errorf("%s/%v/%v/w%d: %s", in.name, opts.Algorithm, opts.Inner, workers, d)
+				}
+			}
 		}
 	}
 }

@@ -62,7 +62,7 @@ func (e *engine) pivotRec(adjH []bitset.Set, C, X bitset.Set) {
 		for ; w != 0; w &= w - 1 {
 			v := base + bits.TrailingZeros64(w)
 			e.deriveChild(adjH, C, X, v, childC, childX, tmp)
-			e.S = append(e.S, e.verts[v])
+			e.S = append(e.S, e.orig[v])
 			e.pivotRec(adjH, childC, childX)
 			e.S = e.S[:len(e.S)-1]
 			C.Unset(v)
@@ -241,7 +241,7 @@ func (e *engine) refRec(adjH []bitset.Set, C, X bitset.Set) {
 		childC.CopyFrom(C)
 		childC.Unset(universal)
 		childX.AndInto(X, e.adjG[universal])
-		e.S = append(e.S, e.verts[universal])
+		e.S = append(e.S, e.orig[universal])
 		e.refRec(adjH, childC, childX)
 		e.S = e.S[:len(e.S)-1]
 		e.setArena.Release(mark)
@@ -258,7 +258,7 @@ func (e *engine) refRec(adjH []bitset.Set, C, X bitset.Set) {
 		for ; w != 0; w &= w - 1 {
 			v := base + bits.TrailingZeros64(w)
 			e.deriveChild(adjH, C, X, v, childC, childX, tmp)
-			e.S = append(e.S, e.verts[v])
+			e.S = append(e.S, e.orig[v])
 			e.refRec(adjH, childC, childX)
 			e.S = e.S[:len(e.S)-1]
 			C.Unset(v)
@@ -356,7 +356,7 @@ func (e *engine) rcdRec(adjH []bitset.Set, C, X bitset.Set) {
 			break // candidate graph is a clique
 		}
 		e.deriveChild(adjH, C, X, minV, childC, childX, tmp)
-		e.S = append(e.S, e.verts[minV])
+		e.S = append(e.S, e.orig[minV])
 		e.rcdRec(adjH, childC, childX)
 		e.S = e.S[:len(e.S)-1]
 		C.Unset(minV)
@@ -448,7 +448,7 @@ func (e *engine) facRec(adjH []bitset.Set, C, X bitset.Set) {
 			break
 		}
 		e.deriveChild(adjH, C, X, u, childC, childX, tmp)
-		e.S = append(e.S, e.verts[u])
+		e.S = append(e.S, e.orig[u])
 		e.facRec(adjH, childC, childX)
 		e.S = e.S[:len(e.S)-1]
 		C.Unset(u)
@@ -523,7 +523,7 @@ func (e *engine) plainRec(adjH []bitset.Set, C, X bitset.Set) {
 		for ; w != 0; w &= w - 1 {
 			v := base + bits.TrailingZeros64(w)
 			e.deriveChild(adjH, C, X, v, childC, childX, tmp)
-			e.S = append(e.S, e.verts[v])
+			e.S = append(e.S, e.orig[v])
 			e.plainRec(adjH, childC, childX)
 			e.S = e.S[:len(e.S)-1]
 			C.Unset(v)

@@ -40,9 +40,11 @@ type Result struct {
 	// NumRemoved is the number of vertices peeled off.
 	NumRemoved int
 
-	// removedNbrs[r] lists, for residual vertex r, its removed neighbors in
-	// the original graph; nil when there are none. Sorted ascending.
-	removedNbrs [][]int32
+	// removedNbrs[removedOff[v]:removedOff[v+1]] lists, for vertex v of the
+	// input graph, its removed neighbors, sorted ascending. Both are nil
+	// when nothing was removed.
+	removedOff  []int32
+	removedNbrs []int32
 }
 
 // Apply runs the reduction to fixpoint.
@@ -137,6 +139,11 @@ func Apply(g *graph.Graph, opts Options) *Result {
 		}
 	}
 
+	if res.NumRemoved == 0 {
+		// Nothing to relabel: the residual is the input graph itself.
+		res.Residual, res.OrigID = g, identityIDs(n)
+		return res
+	}
 	// Relabel the residual graph.
 	newID := make([]int32, n)
 	for v := 0; v < n; v++ {
@@ -150,19 +157,22 @@ func Apply(g *graph.Graph, opts Options) *Result {
 	}
 	// Relabelling keeps the survivors' relative order, so walking them in
 	// order over their sorted adjacency yields the residual's edge keys
-	// already sorted and distinct: the CSR needs no sort.
+	// already sorted and distinct: the CSR needs no sort. The same walk
+	// lists each survivor's removed neighbours; a removed vertex's own list
+	// stays empty, since no residual clique holds it.
 	keys := make([]uint64, 0, g.NumEdges())
-	res.removedNbrs = make([][]int32, len(res.OrigID))
-	for r, v := range res.OrigID {
-		for _, w := range g.Neighbors(v) {
-			if alive[w] {
-				if newID[w] > int32(r) {
+	res.removedOff = make([]int32, n+1)
+	for v := int32(0); v < int32(n); v++ {
+		if r := newID[v]; r >= 0 {
+			for _, w := range g.Neighbors(v) {
+				if !alive[w] {
+					res.removedNbrs = append(res.removedNbrs, w)
+				} else if newID[w] > r {
 					keys = append(keys, uint64(r)<<32|uint64(newID[w]))
 				}
-			} else {
-				res.removedNbrs[r] = append(res.removedNbrs[r], w)
 			}
 		}
+		res.removedOff[v+1] = int32(len(res.removedNbrs))
 	}
 	res.Residual = graph.FromSortedKeys(len(res.OrigID), keys)
 	return res
@@ -217,31 +227,32 @@ func commonNeighborhoodEmpty(g *graph.Graph, K []int32) bool {
 }
 
 // HasRemovedDominator reports whether some removed vertex is adjacent to
-// every vertex of the residual clique K (residual ids). Such a clique is
-// maximal in the residual graph but not in the original one, so enumerators
-// must suppress it.
+// every vertex of the residual clique K, given in original ids (ids of the
+// input graph). Such a clique is maximal in the residual graph but not in
+// the original one, so enumerators must suppress it.
 func (r *Result) HasRemovedDominator(K []int32) bool {
+	if r.NumRemoved == 0 {
+		return false
+	}
 	if len(K) == 0 {
-		return r.NumRemoved > 0
+		return true
 	}
 	// Start with the shortest removed-neighbor list; an untainted member
 	// settles the question immediately.
-	min := -1
+	min := K[0]
 	for _, v := range K {
-		if r.removedNbrs[v] == nil {
+		n := r.removedOff[v+1] - r.removedOff[v]
+		if n == 0 {
 			return false
 		}
-		if min < 0 || len(r.removedNbrs[v]) < len(r.removedNbrs[min]) {
-			min = int(v)
+		if n < r.removedOff[min+1]-r.removedOff[min] {
+			min = v
 		}
 	}
-	for _, z := range r.removedNbrs[min] {
+	for _, z := range r.removedOf(min) {
 		inAll := true
 		for _, v := range K {
-			if int(v) == min {
-				continue
-			}
-			if !containsSorted(r.removedNbrs[v], z) {
+			if v != min && !containsSorted(r.removedOf(v), z) {
 				inAll = false
 				break
 			}
@@ -251,6 +262,11 @@ func (r *Result) HasRemovedDominator(K []int32) bool {
 		}
 	}
 	return false
+}
+
+// removedOf returns the removed neighbors of input vertex v.
+func (r *Result) removedOf(v int32) []int32 {
+	return r.removedNbrs[r.removedOff[v]:r.removedOff[v+1]]
 }
 
 // MemoryFootprint returns the number of bytes retained by the reduction
@@ -263,10 +279,7 @@ func (r *Result) MemoryFootprint() int64 {
 	for _, c := range r.Cliques {
 		b += int64(len(c))*4 + 24 // data + slice header
 	}
-	b += int64(len(r.removedNbrs)) * 24
-	for _, nb := range r.removedNbrs {
-		b += int64(len(nb)) * 4
-	}
+	b += int64(len(r.removedOff)+len(r.removedNbrs)) * 4
 	return b
 }
 
@@ -279,14 +292,14 @@ func containsSorted(xs []int32, x int32) bool {
 // Enumerators use it when reduction is disabled so that downstream code has
 // a single shape to handle.
 func Identity(g *graph.Graph) *Result {
-	n := g.NumVertices()
+	return &Result{Residual: g, OrigID: identityIDs(g.NumVertices())}
+}
+
+// identityIDs is the OrigID of a residual that is the input graph itself.
+func identityIDs(n int) []int32 {
 	orig := make([]int32, n)
 	for v := range orig {
 		orig[v] = int32(v)
 	}
-	return &Result{
-		Residual:    g,
-		OrigID:      orig,
-		removedNbrs: make([][]int32, n),
-	}
+	return orig
 }

@@ -1,9 +1,11 @@
 package reduce
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"github.com/graphmining/hbbmc/internal/dataset"
 	"github.com/graphmining/hbbmc/internal/graph"
 	"github.com/graphmining/hbbmc/internal/verify"
 )
@@ -29,12 +31,12 @@ func allCliquesVia(r *Result) [][]int32 {
 			}
 			continue
 		}
-		if r.HasRemovedDominator(c) {
-			continue
-		}
 		mapped := make([]int32, len(c))
 		for i, v := range c {
 			mapped[i] = r.OrigID[v]
+		}
+		if r.HasRemovedDominator(mapped) {
+			continue
 		}
 		out = append(out, mapped)
 	}
@@ -145,6 +147,44 @@ func TestApplySoundOnRandomGraphs(t *testing.T) {
 				t.Fatalf("iter %d maxDeg %d (n=%d m=%d): %s", iter, maxDeg, n, g.NumEdges(), d)
 			}
 		}
+	}
+}
+
+// TestApplyKeepsInputWhenNothingRemoved: a reduction that removes no
+// vertex returns the input graph itself as the residual, with the identity
+// mapping, on the stand-ins it leaves whole and on random graphs.
+func TestApplyKeepsInputWhenNothingRemoved(t *testing.T) {
+	check := func(name string, g *graph.Graph, opts Options) bool {
+		r := Apply(g, opts)
+		if r.NumRemoved != 0 {
+			return false
+		}
+		if r.Residual != g {
+			t.Fatalf("%s: nothing removed, but the residual is a copy of the input graph", name)
+		}
+		for v, orig := range r.OrigID {
+			if orig != int32(v) {
+				t.Fatalf("%s: nothing removed, but OrigID[%d] = %d", name, v, orig)
+			}
+		}
+		if r.HasRemovedDominator([]int32{0}) || r.HasRemovedDominator(nil) {
+			t.Fatalf("%s: nothing removed, but a removed dominator is reported", name)
+		}
+		return true
+	}
+	whole := 0
+	for _, spec := range dataset.All() {
+		if check(spec.Name, spec.Build(), Options{}) {
+			whole++
+		}
+	}
+	if whole == 0 {
+		t.Fatal("the reduction removes vertices from every stand-in; the check ran on none")
+	}
+	rng := rand.New(rand.NewSource(44))
+	for iter := 0; iter < 40; iter++ {
+		n := 4 + rng.Intn(30)
+		check(fmt.Sprintf("random %d", iter), randomGraph(rng, n, 4*n), Options{})
 	}
 }
 

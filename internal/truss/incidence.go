@@ -70,9 +70,15 @@ func (inc *Incidence) Triangles() int64 {
 // oriented) algorithm — O(δm) time — and assembles the per-edge incidence
 // lists.
 func BuildIncidence(g *graph.Graph) *Incidence {
+	return BuildIncidenceFrom(g, order.DegeneracyOrdering(g).Pos)
+}
+
+// BuildIncidenceFrom is BuildIncidence over a degeneracy ordering the
+// caller already holds: pos[v] is vertex v's position in it, as in
+// order.Degeneracy.Pos. The same positions give the same arrays.
+func BuildIncidenceFrom(g *graph.Graph, pos []int32) *Incidence {
 	n := g.NumVertices()
 	m := g.NumEdges()
-	pos := order.DegeneracyOrdering(g).Pos
 
 	// Forward adjacency: for each vertex, its later-ordered neighbors with
 	// edge ids, flattened.

@@ -310,6 +310,21 @@ func TestEdgeOrdersMatchSort(t *testing.T) {
 	}
 }
 
+// TestBuildIncidenceFromMatchesBuild pins the incidence built over a
+// degeneracy ordering the caller holds, as an EdgeOrderDegeneracy session
+// builds it, to BuildIncidence's arrays on the 16 stand-ins.
+func TestBuildIncidenceFromMatchesBuild(t *testing.T) {
+	for _, spec := range dataset.All() {
+		g := spec.Build()
+		got := BuildIncidenceFrom(g, order.DegeneracyOrdering(g).Pos)
+		want := BuildIncidence(g)
+		if !slices.Equal(got.off, want.off) || !slices.Equal(got.coSrc, want.coSrc) ||
+			!slices.Equal(got.coDst, want.coDst) || !slices.Equal(got.third, want.third) {
+			t.Errorf("%s: incidence arrays differ from BuildIncidence's", spec.Name)
+		}
+	}
+}
+
 // BenchmarkEdgeOrders builds the degeneracy and min-degree edge orders of
 // all 16 stand-ins per iteration.
 func BenchmarkEdgeOrders(b *testing.B) {

@@ -6,8 +6,10 @@
 #     appear as `-flag` in the README section for that tool;
 #   * every `-flag` the README section documents must exist in the binary;
 #
-# and that every repository document (`NAME.md`) a .go file, README.md or
-# ARCHITECTURE.md names exists somewhere in the repository.
+# that every repository document (`NAME.md`) a .go file, README.md or
+# ARCHITECTURE.md names exists somewhere in the repository, and that every
+# test DESIGN.md names as a guard (`TestName`) is declared by some
+# `func TestName(` in a _test.go file.
 #
 # Run by the CI lint job; run locally with ./scripts/check_docs.sh.
 set -euo pipefail
@@ -76,7 +78,19 @@ for d in $named; do
   fi
 done
 
+# Tests DESIGN.md names as guards: each back-quoted `TestName` must be
+# declared by some _test.go file.
+tests=$(grep -oE '`Test[A-Za-z0-9_]+`' DESIGN.md | tr -d '`' | sort -u || true)
+declared=$(find . "${prune[@]}" -name '*_test.go' -print |
+  xargs grep -ohE '^func Test[A-Za-z0-9_]+\(' | sed 's/^func //; s/($//' | sort -u || true)
+for t in $tests; do
+  if ! grep -qx -- "$t" <<<"$declared"; then
+    echo "check_docs: DESIGN.md names $t, but no _test.go declares func $t(" >&2
+    fail=1
+  fi
+done
+
 if [ "$fail" -eq 0 ]; then
-  echo "check_docs: README flag tables match the mce/mced flag sets; every named document exists"
+  echo "check_docs: README flag tables match the mce/mced flag sets; every named document and test exists"
 fi
 exit "$fail"
