@@ -10,11 +10,15 @@ import (
 
 	"github.com/graphmining/hbbmc/internal/dataset"
 	"github.com/graphmining/hbbmc/internal/gen"
+	"github.com/graphmining/hbbmc/internal/graph"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/work.golden.json from one-worker runs")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata/*work.golden.json files from one-worker runs")
 
-const workGoldenPath = "testdata/work.golden.json"
+const (
+	workGoldenPath      = "testdata/work.golden.json"
+	queryWorkGoldenPath = "testdata/query_work.golden.json"
+)
 
 // raceSkipped are the stand-ins TestWorkGolden leaves out under the race
 // detector, where they take three quarters of its time; the non-race run
@@ -203,5 +207,133 @@ func TestWorkCountersDeterministic(t *testing.T) {
 		if workOf(kc) != workOf(kc2) {
 			t.Errorf("%s/kclique_count: work counters %v at one worker, %v at two", opts.Algorithm, workOf(kc), workOf(kc2))
 		}
+	}
+}
+
+// queryWorkRow is one row of testdata/query_work.golden.json: the counters
+// of one complete one-worker query, with the branch-and-bound and k-clique
+// counters of max_clique and kclique_count.
+type queryWorkRow struct {
+	workRow
+	Query            string `json:"query"`
+	BnBCalls         int64  `json:"bnb_calls"`
+	BnBPrunes        int64  `json:"bnb_prunes"`
+	IncumbentUpdates int64  `json:"incumbent_updates"`
+	KCliques         int64  `json:"k_cliques"`
+}
+
+// noisyGraph names the small graph of the whole-graph rows.
+const noisyGraph = "noisy"
+
+// queryWorkCases reach every top-level kernel of max_clique and
+// kclique_count: HBBMC++'s edge max_clique, and its kclique_count on the
+// edge kernel or, where GR removed vertices, on the source-graph basis;
+// RRef's vertex max_clique; the edge kclique_count of HBBMC++ without GR
+// on every stand-in; and BKPivot's whole-graph count and max_clique, on a
+// graph small enough for one whole-graph branch.
+var queryWorkCases = []struct {
+	config  string
+	opts    Options
+	graph   string // noisyGraph, or "" for the 16 stand-ins
+	queries []string
+}{
+	{"HBBMC++", Defaults(), "", []string{"max_clique", "kclique_count_4"}},
+	{"RRef", Options{Algorithm: BKRef, GR: true}, "", []string{"max_clique"}},
+	{"HBBMC++noGR", Options{Algorithm: HBBMC, ET: 3}, "", []string{"kclique_count_4"}},
+	{"BKPivot", Options{Algorithm: BKPivot}, noisyGraph, []string{"count", "max_clique"}},
+}
+
+// runWorkQuery runs one query of queryWorkCases on one worker. One worker
+// makes max_clique deterministic: it walks the raw ordering against one
+// incumbent.
+func runWorkQuery(s *Session, query string) (*Stats, error) {
+	ctx, q := context.Background(), QueryOptions{Workers: 1}
+	var st *Stats
+	var err error
+	switch query {
+	case "count":
+		_, st, err = s.CountWith(ctx, q)
+	case "max_clique":
+		_, st, err = s.MaxClique(ctx, q)
+	case "kclique_count_4":
+		_, st, err = s.CountKCliques(ctx, 4, q)
+	default:
+		err = fmt.Errorf("unknown query %q", query)
+	}
+	return st, err
+}
+
+// TestQueryWorkGolden pins the counters of one-worker max_clique and
+// kclique_count queries (and of BKPivot's whole-graph count) to
+// testdata/query_work.golden.json, as TestWorkGolden does for count, so a
+// change in the work of their kernels shows up in the diff. go test -run
+// TestQueryWorkGolden -update rewrites the file.
+func TestQueryWorkGolden(t *testing.T) {
+	type key struct{ graph, config, query string }
+	want := map[key]queryWorkRow{}
+	if !*updateGolden {
+		data, err := os.ReadFile(queryWorkGoldenPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows []queryWorkRow
+		if err := json.Unmarshal(data, &rows); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rows {
+			want[key{r.Graph, r.Config, r.Query}] = r
+		}
+	}
+	type namedGraph struct {
+		name string
+		g    *graph.Graph
+	}
+	var standIns []namedGraph
+	for _, spec := range dataset.All() {
+		if raceEnabled && raceSkipped[spec.Name] {
+			continue
+		}
+		standIns = append(standIns, namedGraph{spec.Name, spec.Build()})
+	}
+	noisy := []namedGraph{{noisyGraph, gen.NoisyCliques(400, 40, 9, 900, 11)}}
+	var got []queryWorkRow
+	for _, c := range queryWorkCases {
+		graphs := standIns
+		if c.graph == noisyGraph {
+			graphs = noisy
+		}
+		for _, ng := range graphs {
+			s, err := NewSession(ng.g, c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, query := range c.queries {
+				st, err := runWorkQuery(s, query)
+				if err != nil {
+					t.Fatalf("%s/%s/%s: %v", ng.name, c.config, query, err)
+				}
+				row := queryWorkRow{workRowOf(ng.name, c.config, st), query,
+					st.BnBCalls, st.BnBPrunes, st.IncumbentUpdates, st.KCliques}
+				got = append(got, row)
+				if *updateGolden {
+					continue
+				}
+				if w, ok := want[key{ng.name, c.config, query}]; !ok {
+					t.Errorf("%s/%s/%s: no golden row", ng.name, c.config, query)
+				} else if row != w {
+					t.Errorf("%s/%s/%s: counters\n got %+v\nwant %+v", ng.name, c.config, query, row, w)
+				}
+			}
+		}
+	}
+	if !*updateGolden {
+		return
+	}
+	data, err := json.MarshalIndent(got, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(queryWorkGoldenPath, append(data, '\n'), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
