@@ -77,9 +77,9 @@
 // five types across the three surfaces.
 //
 // Per-request variation on a shared session goes through QueryOptions:
-// Session.EnumerateWith and Session.CountWith override the run knobs
-// (worker count, MaxCliques budget, emit batching) for one query without
-// rebuilding — or fragmenting the cache of — the preprocessing.
+// Session.EnumerateWith and Session.CountWith override the worker count
+// and the MaxCliques budget for one query without rebuilding — or
+// fragmenting the cache of — the preprocessing.
 // Options.SessionKey canonicalises the session-defining fields for exactly
 // this purpose: two Options with equal keys can share one Session.
 //

@@ -206,7 +206,7 @@ func (g *anchorGroup) plan(e *engine, a int32, keys []uint64) (own int64, shared
 		shared++
 		src, _ := e.g.EdgeEndpoints(br.eid)
 		common := g.cn[br.lo:br.hi]
-		xRows := edgeRowCount(br.inC, len(common)) > br.inC
+		xRows := rowCountOf(br.inC, len(common)) > br.inC
 		for _, cn := range common {
 			j := g.idx[cn.w] - 1
 			if j < 0 {

@@ -67,44 +67,40 @@ func Collect(g *graph.Graph, opts Options) ([][]int32, *Stats, error) {
 	return out, stats, nil
 }
 
-// runWholeGraph evaluates the entire residual graph as a single branch
-// (S=∅, C=V, X=∅) — the shape of the original BK and BK_Pivot algorithms.
-// Being one branch, it is also the cancellation granule: a context
-// cancellation is only observed before it starts.
-func (e *engine) runWholeGraph() {
-	n := e.g.NumVertices()
-	if n == 0 || e.rc.halted() {
-		return
-	}
-	all := make([]int32, n)
-	for i := range all {
-		all[i] = int32(i)
-	}
-	e.setUniverse(all, -1, n)
-	C := e.setArena.Get()
-	for i := 0; i < n; i++ {
-		C.Set(i)
-	}
-	X := e.setArena.Get()
-	e.S = e.S[:0]
-	e.stats.TopBranches++
-	e.vertexRec(nil, C, X)
-}
+// The rest of this file is the top-level branch front end. One step per
+// branch shape lays a branch's universe out in listBuf, candidates first,
+// and starts its partial clique S: the whole-graph step for BK and
+// BKPivot, the vertex step for the ordered vertex frameworks (Eq. 1) and
+// the edge step for EBBMC and HBBMC (Algorithms 3 and 4). One install
+// (engine.go) then maps the local ids and fills the rows, so each query's
+// kernel keeps only its own prune and its recursion.
 
-// runVertexBranch evaluates the vertex-ordered top-level branch at
-// ordering position p (Eq. 1): v = ord[p] branches with C = its
-// later-ordered neighbors and X = its earlier ones, the universe being N(v).
-//
-// The universe is laid out candidates-first, mirroring the edge-oriented
-// top level: exclusion members only need adjacency rows of their own to
-// compete as Tomita pivots, so their rows — the dominant share of the build
-// cost around hubs, whose earlier-neighbor side is unbounded by δ — are
-// built only when the branch is recursion-heavy enough for pivot quality
-// to pay for them.
+// openWholeBranch lays out the single whole-graph branch of BK and
+// BKPivot: S empty and every residual vertex a candidate. It returns the
+// vertex count.
 //
 //hbbmc:noalloc
-func (e *engine) runVertexBranch(ord, pos []int32, p int) {
+func (e *engine) openWholeBranch() int {
+	n := e.g.NumVertices()
+	e.stats.TopBranches++
+	e.S = e.S[:0]
+	e.listBuf = e.listBuf[:0]
+	for v := range int32(n) {
+		e.listBuf = append(e.listBuf, v)
+	}
+	return n
+}
+
+// openVertexBranch lays out the vertex-ordered top-level branch at
+// ordering position p (Eq. 1): S = {v} for v = ord[p], its later-ordered
+// neighbours (the candidates) first and, when withX is set, its earlier
+// ones (the exclusion set) after them. It returns the candidate count.
+//
+//hbbmc:noalloc
+func (e *engine) openVertexBranch(ord, pos []int32, p int, withX bool) int {
 	v := ord[p]
+	e.stats.TopBranches++
+	e.S = append(e.S[:0], e.origOf(v))
 	nbrs := e.g.Neighbors(v)
 	pv := pos[v]
 	e.listBuf = e.listBuf[:0]
@@ -114,26 +110,44 @@ func (e *engine) runVertexBranch(ord, pos []int32, p int) {
 		}
 	}
 	inC := len(e.listBuf)
-	for _, w := range nbrs {
-		if pos[w] <= pv {
-			e.listBuf = append(e.listBuf, w)
+	if withX {
+		for _, w := range nbrs {
+			if pos[w] <= pv {
+				e.listBuf = append(e.listBuf, w)
+			}
 		}
 	}
-	rowCount := inC
-	if withXRows(inC, len(nbrs)) {
-		rowCount = len(nbrs)
+	return inC
+}
+
+// runWholeGraph evaluates the entire residual graph as a single branch
+// (S=∅, C=V, X=∅) — the shape of the original BK and BK_Pivot algorithms.
+// Being one branch, it is also the cancellation granule: a context
+// cancellation is only observed before it starts.
+//
+//hbbmc:noalloc
+func (e *engine) runWholeGraph() {
+	if e.g.NumVertices() == 0 {
+		return
 	}
-	e.setUniverse(e.listBuf, -1, rowCount)
-	C := e.setArena.Get()
-	X := e.setArena.Get()
-	for j := 0; j < inC; j++ {
-		C.Set(j)
-	}
-	for j := inC; j < len(nbrs); j++ {
-		X.Set(j)
-	}
-	e.S = append(e.S[:0], e.origOf(v))
-	e.stats.TopBranches++
+	n := e.openWholeBranch()
+	e.setUniverse(e.listBuf, -1, n, false)
+	C, X := e.branchSets(n)
+	e.vertexRec(nil, C, X)
+}
+
+// runVertexBranch evaluates the vertex-ordered top-level branch at
+// ordering position p: C = the later-ordered neighbours of v, X = its
+// earlier ones, the universe being N(v). Exclusion members get rows only
+// when the branch is recursion-heavy (rowCountOf): around hubs, whose
+// earlier-neighbour side is unbounded by δ, their rows dominate the build
+// cost.
+//
+//hbbmc:noalloc
+func (e *engine) runVertexBranch(ord, pos []int32, p int) {
+	inC := e.openVertexBranch(ord, pos, p, true)
+	e.setUniverse(e.listBuf, -1, rowCountOf(inC, len(e.listBuf)), false)
+	C, X := e.branchSets(inC)
 	e.vertexRec(nil, C, X)
 }
 
@@ -181,9 +195,7 @@ func (e *engine) runEdgeBranch(eid int32) {
 		e.emit(nil)
 		return
 	}
-	r := e.eo.Rank[eid]
-	common, inC := e.edgeCommon(eid, r, e.cnBuf[:0])
-	e.cnBuf = common
+	common, inC, r := e.classifyEdge(eid)
 	if inC == 0 {
 		// Every common neighbor blocks maximality and no candidate remains:
 		// the branch cannot produce any clique. Skipping it avoids
@@ -205,6 +217,18 @@ func (e *engine) openEdgeBranch(eid int32) {
 	e.S = append(e.S[:0], e.origOf(a), e.origOf(b))
 }
 
+// classifyEdge reads the common neighbors of edge eid into cnBuf, each
+// classified once by edgeCommon, and returns them with the candidate count
+// and the edge's rank.
+//
+//hbbmc:noalloc
+func (e *engine) classifyEdge(eid int32) ([]commonNeighbor, int, int32) {
+	r := e.eo.Rank[eid]
+	common, inC := e.edgeCommon(eid, r, e.cnBuf[:0])
+	e.cnBuf = common
+	return common, inC, r
+}
+
 // edgeCommon appends the common neighbors of edge eid (rank r) to buf, each
 // classified as a candidate or an exclusion member, and returns the list
 // with its candidate count.
@@ -224,27 +248,14 @@ func (e *engine) edgeCommon(eid, r int32, buf []commonNeighbor) ([]commonNeighbo
 	return buf, inC
 }
 
-// edgeRowCount is the number of universe members of an edge branch that
-// get adjacency rows: the candidates, plus the exclusion members when the
-// branch is recursion-heavy (they restore full Tomita pivot quality); on
-// branch-setup-bound graphs the candidate rows alone are cheaper and
-// sufficient.
-func edgeRowCount(inC, universe int) int {
-	if withXRows(inC, universe) {
-		return universe
-	}
-	return inC
-}
-
-// runEdgeUniverse installs the universe of an edge branch with inC > 0
-// candidates among its common neighbors and runs the recursion on it. The
-// universe is laid out candidates first. sideBuf keeps, per row-bearing
-// member, the cheaper of its two triangle side edges; rows are filled from
-// the incidence lists of those side edges, or cut from the anchor group's
-// rows when cut is set (anchor.go), which yields the same rows.
+// layEdgeUniverse lays the classified common neighbors of an edge branch
+// out in listBuf, the inC candidates first and, when withX is set, the
+// exclusion members after them. sideBuf keeps, per row-bearing member (the
+// first rowCount), the cheaper of its two triangle side edges, whose
+// incidence list fills its rows.
 //
 //hbbmc:noalloc
-func (e *engine) runEdgeUniverse(common []commonNeighbor, inC int, r int32, cut bool) {
+func (e *engine) layEdgeUniverse(common []commonNeighbor, inC, rowCount int, withX bool) {
 	e.listBuf = e.listBuf[:0]
 	e.sideBuf = e.sideBuf[:0]
 	for _, cn := range common {
@@ -253,7 +264,9 @@ func (e *engine) runEdgeUniverse(common []commonNeighbor, inC int, r int32, cut 
 			e.sideBuf = append(e.sideBuf, e.cheapSide(cn))
 		}
 	}
-	rowCount := edgeRowCount(inC, len(common))
+	if !withX {
+		return
+	}
 	for _, cn := range common {
 		if !cn.cand {
 			e.listBuf = append(e.listBuf, cn.w)
@@ -262,6 +275,30 @@ func (e *engine) runEdgeUniverse(common []commonNeighbor, inC int, r int32, cut 
 			}
 		}
 	}
+}
+
+// rowCountOf is the shared break-even heuristic of the vertex and edge
+// enumeration kernels: the number of universe members that get adjacency
+// rows. Exclusion members get rows of their own, restoring full Tomita
+// pivot quality over C ∪ X, only when the branch is recursion-heavy:
+// enough candidates absolutely, and candidates not dwarfed by the
+// exclusion side whose rows would dominate the build cost.
+func rowCountOf(inC, universe int) int {
+	if inC >= 12 && 4*inC >= universe {
+		return universe
+	}
+	return inC
+}
+
+// runEdgeUniverse installs the universe of an edge branch with inC > 0
+// candidates among its common neighbors and runs the recursion on it. Its
+// rows are cut from the anchor group's rows when cut is set (anchor.go),
+// which yields the same rows as the side edges' walk.
+//
+//hbbmc:noalloc
+func (e *engine) runEdgeUniverse(common []commonNeighbor, inC int, r int32, cut bool) {
+	rowCount := rowCountOf(inC, len(common))
+	e.layEdgeUniverse(common, inC, rowCount, true)
 	if k := len(common); e.wordKernel(k) {
 		// Without the mask-free check every branch starts masked, as the
 		// generic path's does.
@@ -274,35 +311,21 @@ func (e *engine) runEdgeUniverse(common []commonNeighbor, inC int, r int32, cut 
 		}
 		return
 	}
-	e.installUniverse(e.listBuf, r, rowCount)
-	if cut {
-		e.cutRows(rowCount)
-	} else {
-		e.fillRowsFromIncidence(r, rowCount)
-	}
-	C := e.setArena.Get()
-	X := e.setArena.Get()
-	for j := range common {
-		if j < inC {
-			C.Set(j)
-		} else {
-			X.Set(j)
-		}
-	}
-	if e.switchDepth <= 1 {
+	e.setUniverse(e.listBuf, r, rowCount, cut)
+	C, X := e.branchSets(inC)
+	switch {
+	case e.switchDepth > 1:
+		e.edgeRec(C, X, r, 1)
+	case !ablateMaskFree && !e.maskedEdgesIn(e.adjH, C):
 		// HBBMC default: one edge level, then the vertex phase with the
 		// precomputed masked adjacency (mask threshold = this edge). When no
 		// candidate edge is masked — the common case under the truss
 		// ordering — the masked and full adjacencies agree on the candidate
 		// region and agree hereditarily as C shrinks, so the whole branch
 		// can run the cheaper unmasked recursion.
-		if !ablateMaskFree && e.maskFreeCandidates(inC) {
-			e.vertexRec(nil, C, X)
-		} else {
-			e.vertexRec(e.adjH, C, X)
-		}
-	} else {
-		e.edgeRec(C, X, r, 1)
+		e.vertexRec(nil, C, X)
+	default:
+		e.vertexRec(e.adjH, C, X)
 	}
 }
 

@@ -125,37 +125,36 @@ func (e *engine) bumpEpoch() {
 	}
 }
 
-// setUniverse installs vs (residual ids) as the branch-local universe and
-// builds adjacency rows for its first rowCount members. When baseRank >= 0
-// a masked adjacency adjH is built alongside, containing only edges whose
-// rank exceeds baseRank.
+// setUniverse installs vs (residual ids, laid out candidates first by a
+// shape step) as the branch-local universe and fills the adjacency rows
+// of its first rowCount members. An edge branch of rank baseRank >= 0
+// also gets masked rows adjH, holding only the edges ranked above it; its
+// rows are walked from the incidence lists of its members' side edges in
+// sideBuf, or cut from the anchor group's rows when cut is set
+// (anchor.go). A vertex or whole-graph branch (baseRank < 0) fills its
+// rows by whichever of two strategies is cheaper: scanning each member's
+// full adjacency (good when members have small degrees) or probing member
+// pairs with binary searches (good for small universes around high-degree
+// hubs).
 //
-// The edge-oriented top level orders each universe candidates-first and
-// passes rowCount = |C|: exclusion vertices need no rows of their own (every
-// refinement reads candidate rows, and the X-domination checks fold
-// candidate rows over X), which skips the dominant share of the build cost
+// Members past rowCount, exclusion vertices, get no rows of their own:
+// every refinement reads candidate rows, and the X-domination checks fold
+// candidate rows over X. That skips the dominant share of the build cost
 // on triangle-dense graphs.
 //
-// Rows are built by whichever of two strategies is cheaper for this branch:
-// scanning each member's full adjacency (good when members have small
-// degrees) or probing member pairs with binary searches (good for small
-// universes around high-degree hubs).
-func (e *engine) setUniverse(vs []int32, baseRank int32, rowCount int) {
-	degSum := e.installUniverse(vs, baseRank, rowCount)
-	if pairwiseCheaper(rowCount, len(vs), degSum) {
-		e.fillRowsPairwise(baseRank, rowCount)
-	} else {
-		e.fillRowsByScan(baseRank, rowCount)
+//hbbmc:noalloc
+func (e *engine) setUniverse(vs []int32, baseRank int32, rowCount int, cut bool) {
+	e.installUniverse(vs, baseRank, rowCount)
+	switch {
+	case cut:
+		e.cutRows(rowCount)
+	case baseRank >= 0:
+		e.fillRowsFromIncidence(baseRank, rowCount)
+	case pairwiseCheaper(rowCount, len(vs), e.degreeSum(rowCount)):
+		e.fillRowsPairwise(rowCount)
+	default:
+		e.fillRowsByScan(rowCount)
 	}
-}
-
-// withXRows is the shared break-even heuristic of the vertex and edge
-// enumeration kernels: exclusion members get adjacency rows of their own
-// (restoring full Tomita pivot quality over C ∪ X) only when the branch is
-// recursion-heavy — enough candidates absolutely, and candidates not
-// dwarfed by the exclusion side whose rows would dominate the build cost.
-func withXRows(inC, universe int) bool {
-	return inC >= 12 && 4*inC >= universe
 }
 
 // pairwiseCheaper is the row-filling strategy choice of setUniverse:
@@ -169,11 +168,51 @@ func pairwiseCheaper(rowCount, universe int, degSum int64) bool {
 	return int64(rowCount)*int64(universe)*8 < degSum
 }
 
-// installUniverse performs the bookkeeping shared by all row-filling
-// strategies: local-id mapping, arena resets and zeroed rows for the first
-// rowCount members. It returns the degree sum of the row-bearing members.
-func (e *engine) installUniverse(vs []int32, baseRank int32, rowCount int) int64 {
+// degreeSum returns the degree sum of the first rowCount universe members.
+func (e *engine) degreeSum(rowCount int) int64 {
+	sum := int64(0)
+	for _, v := range e.verts[:rowCount] {
+		sum += int64(e.g.Degree(v))
+	}
+	return sum
+}
+
+// installUniverse is the one install of the generic bitset path: it maps
+// the local ids of vs (mapUniverse), resets the arenas and gives the first
+// rowCount members zeroed rows (masked ones too when baseRank >= 0).
+//
+//hbbmc:noalloc
+func (e *engine) installUniverse(vs []int32, baseRank int32, rowCount int) {
+	e.mapUniverse(vs)
 	k := len(vs)
+	e.masked = baseRank >= 0
+	e.rowArena.Reset(k)
+	e.setArena.Reset(k)
+	e.cntArena.reset()
+	if cap(e.adjG) < k { //hbbmc:allowalloc amortised growth to the largest universe seen
+		e.adjG = make([]bitset.Set, k)
+		e.adjH = make([]bitset.Set, k)
+	}
+	e.adjG = e.adjG[:k]
+	e.adjH = e.adjH[:k]
+	for i := range k {
+		e.adjG[i], e.adjH[i] = nil, nil
+		if i < rowCount {
+			e.adjG[i] = e.rowArena.Get()
+			if e.masked {
+				e.adjH[i] = e.rowArena.Get()
+			}
+		}
+	}
+}
+
+// mapUniverse maps the local ids of the universe vs: local → residual
+// (verts) and original (orig) ids, and residual → local through the
+// epoch-stamped map and the membership bitmap. It is all the word kernels'
+// install needs (wordrec.go).
+//
+//hbbmc:noalloc
+func (e *engine) mapUniverse(vs []int32) {
 	// The membership bitmap is the cache-resident first-level filter of the
 	// row-fill probes (1 bit per residual vertex vs 8 bytes in the id map);
 	// clear the previous universe's bits before vs overwrites verts.
@@ -189,44 +228,48 @@ func (e *engine) installUniverse(vs []int32, baseRank int32, rowCount int) int64
 			e.orig = append(e.orig, e.red.OrigID[v])
 		}
 	}
-	e.masked = baseRank >= 0
-	e.rowArena.Reset(k)
-	e.setArena.Reset(k)
-	e.cntArena.reset()
 	e.bumpEpoch()
-	if cap(e.adjG) < k {
-		e.adjG = make([]bitset.Set, k)
-		e.adjH = make([]bitset.Set, k)
-	}
-	e.adjG = e.adjG[:k]
-	e.adjH = e.adjH[:k]
-	degSum := int64(0)
 	stamp := uint64(e.localEpoch) << 32
 	for i, v := range vs {
 		e.local[v] = stamp | uint64(uint32(i))
 		e.univ.Set(int(v))
-		if i < rowCount {
-			degSum += int64(e.g.Degree(v))
-		}
 	}
-	e.carveRows(rowCount)
-	return degSum
 }
 
-// carveRows gives the first rowCount universe members zeroed arena rows
-// (masked ones too in a masked universe) and the rest none.
+// branchSets carves the sets of a branch over the installed universe, laid
+// out candidates first: C = [0, inC) and X = every later member.
 //
 //hbbmc:noalloc
-func (e *engine) carveRows(rowCount int) {
-	for i := range e.verts {
-		e.adjG[i], e.adjH[i] = nil, nil
-		if i < rowCount {
-			e.adjG[i] = e.rowArena.Get()
-			if e.masked {
-				e.adjH[i] = e.rowArena.Get()
-			}
+func (e *engine) branchSets(inC int) (C, X bitset.Set) {
+	C, X = e.setArena.Get(), e.setArena.Get()
+	for j := range e.verts {
+		if j < inC {
+			C.Set(j)
+		} else {
+			X.Set(j)
 		}
 	}
+	return C, X
+}
+
+// installCandidates installs the inC candidates a shape step laid out in
+// listBuf as the universe of a query without an exclusion set (an edge
+// branch of rank r, or r = -1 for a vertex or whole-graph branch), and
+// returns the rows its recursion reads with C = every candidate: the
+// masked rows in an edge branch, where every other edge of a clique
+// counted at it ranks later, the full rows otherwise.
+//
+//hbbmc:noalloc
+func (e *engine) installCandidates(inC int, r int32) ([]bitset.Set, bitset.Set) {
+	e.setUniverse(e.listBuf, r, inC, false)
+	C := e.setArena.Get()
+	for j := range inC {
+		C.Set(j)
+	}
+	if r >= 0 {
+		return e.adjH, C
+	}
+	return e.adjG, C
 }
 
 // fillRowsFromIncidence builds the candidate rows of an edge branch from
@@ -276,43 +319,39 @@ func (e *engine) sideRange(i int) (lo, hi int32, wIsDst bool) {
 	return lo, hi, e.verts[i] == dst
 }
 
+// fillRowsByScan fills the full rows of the first rowCount members of a
+// vertex or whole-graph universe by scanning each member's adjacency.
 //
 //hbbmc:noalloc
-func (e *engine) fillRowsByScan(baseRank int32, rowCount int) {
+func (e *engine) fillRowsByScan(rowCount int) {
 	for i := 0; i < rowCount; i++ {
-		v := e.verts[i]
 		rowG := e.adjG[i]
-		rowH := e.adjH[i]
-		nbrs := e.g.Neighbors(v)
-		eids := e.g.IncidentEdgeIDs(v)
+		nbrs := e.g.Neighbors(e.verts[i])
 		set := int64(0)
-		for t, w := range nbrs {
+		for _, w := range nbrs {
 			// Bitmap first: most neighbors are outside the universe, and the
 			// bit probe stays in cache where the id-map load would miss.
 			if !e.univ.Has(int(w)) {
 				continue
 			}
-			j := e.localOf(w)
-			rowG.Set(int(j))
+			rowG.Set(int(e.localOf(w)))
 			set++
-			if e.masked && e.eo.Rank[eids[t]] > baseRank {
-				rowH.Set(int(j))
-			}
 		}
 		e.stats.UniverseEntries += int64(len(nbrs))
 		e.stats.UniverseBits += set
 	}
 }
 
+// fillRowsPairwise is fillRowsByScan by probing every member pair with a
+// binary search.
 //
 //hbbmc:noalloc
-func (e *engine) fillRowsPairwise(baseRank int32, rowCount int) {
+func (e *engine) fillRowsPairwise(rowCount int) {
 	k := len(e.verts)
 	for i := 0; i < rowCount; i++ {
 		set := int64(0)
 		for j := i + 1; j < k; j++ {
-			eid := e.g.EdgeID(e.verts[i], e.verts[j])
-			if eid < 0 {
+			if e.g.EdgeID(e.verts[i], e.verts[j]) < 0 {
 				continue
 			}
 			e.adjG[i].Set(j)
@@ -321,41 +360,10 @@ func (e *engine) fillRowsPairwise(baseRank int32, rowCount int) {
 				e.adjG[j].Set(i)
 				set++
 			}
-			if e.masked && e.eo.Rank[eid] > baseRank {
-				e.adjH[i].Set(j)
-				if j < rowCount {
-					e.adjH[j].Set(i)
-				}
-			}
 		}
 		e.stats.UniverseEntries += int64(k - 1 - i)
 		e.stats.UniverseBits += set
 	}
-}
-
-// maskFreeCandidates reports whether no candidate-candidate edge of the
-// current universe is masked. The candidates occupy local ids [0, inC), so
-// the check compares each candidate's full and masked rows on that prefix.
-//
-//hbbmc:noalloc
-func (e *engine) maskFreeCandidates(inC int) bool {
-	fullWords := inC / 64
-	restBits := uint(inC % 64)
-	for i := 0; i < inC; i++ {
-		rowG, rowH := e.adjG[i], e.adjH[i]
-		for w := 0; w < fullWords; w++ {
-			if rowG[w] != rowH[w] {
-				return false
-			}
-		}
-		if restBits != 0 {
-			mask := (uint64(1) << restBits) - 1
-			if (rowG[fullWords]^rowH[fullWords])&mask != 0 {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // rankOfLocal returns the edge-order rank of the residual edge between two

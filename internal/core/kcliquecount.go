@@ -74,25 +74,7 @@ func (e *engine) kcliqueRec(adj []bitset.Set, C bitset.Set, cSize, need int) {
 //
 //hbbmc:noalloc
 func (e *engine) runVertexKBranch(ord, pos []int32, p, k int) {
-	v := ord[p]
-	e.stats.TopBranches++
-	pv := pos[v]
-	e.listBuf = e.listBuf[:0]
-	for _, w := range e.g.Neighbors(v) {
-		if pos[w] > pv {
-			e.listBuf = append(e.listBuf, w)
-		}
-	}
-	inC := len(e.listBuf)
-	if inC < k-1 {
-		return
-	}
-	e.setUniverse(e.listBuf, -1, inC)
-	C := e.setArena.Get()
-	for j := 0; j < inC; j++ {
-		C.Set(j)
-	}
-	e.kcliqueRec(e.adjG, C, inC, k-1)
+	e.kBranch(e.openVertexBranch(ord, pos, p, false), -1, k-1)
 }
 
 // runEdgeKBranch counts the k-cliques whose minimum-rank edge is eid
@@ -105,42 +87,27 @@ func (e *engine) runVertexKBranch(ord, pos []int32, p, k int) {
 //
 //hbbmc:noalloc
 func (e *engine) runEdgeKBranch(eid int32, k int) {
-	r := e.eo.Rank[eid]
-	e.stats.TopBranches++
-	if e.inc.Count(eid) == 0 {
-		return
-	}
-	e.listBuf = e.listBuf[:0]
-	e.sideBuf = e.sideBuf[:0]
-	lo, hi := e.inc.Range(eid)
+	e.openEdgeBranch(eid)
+	common, inC, r := e.classifyEdge(eid)
 	if k == 3 {
-		n := int64(0)
-		for t := lo; t < hi; t++ {
-			if e.eo.Rank[e.inc.CoSrc(t)] > r && e.eo.Rank[e.inc.CoDst(t)] > r {
-				n++
-			}
-		}
-		e.stats.KCliques += n
+		e.stats.KCliques += int64(inC)
 		return
 	}
-	for t := lo; t < hi; t++ {
-		cn := commonNeighbor{w: e.inc.Third(t), ea: e.inc.CoSrc(t), eb: e.inc.CoDst(t)}
-		if e.eo.Rank[cn.ea] > r && e.eo.Rank[cn.eb] > r {
-			e.listBuf = append(e.listBuf, cn.w)
-			e.sideBuf = append(e.sideBuf, e.cheapSide(cn))
-		}
-	}
-	inC := len(e.listBuf)
-	if inC < k-2 {
+	e.layEdgeUniverse(common, inC, inC, false)
+	e.kBranch(inC, r, k-2)
+}
+
+// kBranch counts the cliques of `need` more vertices in a vertex or edge
+// branch (rank r, -1 for a vertex) whose shape step laid its inC
+// candidates out in listBuf.
+//
+//hbbmc:noalloc
+func (e *engine) kBranch(inC int, r int32, need int) {
+	if inC < need {
 		return
 	}
-	e.installUniverse(e.listBuf, r, inC)
-	e.fillRowsFromIncidence(r, inC)
-	C := e.setArena.Get()
-	for j := 0; j < inC; j++ {
-		C.Set(j)
-	}
-	e.kcliqueRec(e.adjH, C, inC, k-2)
+	adj, C := e.installCandidates(inC, r)
+	e.kcliqueRec(adj, C, inC, need)
 }
 
 // ensureKCBasis lazily builds the source-graph fallback basis: a degeneracy

@@ -159,37 +159,11 @@ func (e *engine) maxCliqueRec(adj []bitset.Set, C bitset.Set, cSize int, mc *mcS
 // max-clique query: S = {v}, candidates the later-ordered neighbors of v.
 // Every maximal clique — the maximum one included — is reachable from the
 // branch of its earliest-ordered vertex, so coverage is exact. Unlike the
-// enumeration kernel no exclusion side is materialised, and a branch whose
-// whole candidate set cannot beat the incumbent is skipped before any
-// universe is installed.
+// enumeration kernel no exclusion side is laid out.
 //
 //hbbmc:noalloc
 func (e *engine) runVertexMaxBranch(ord, pos []int32, p int, mc *mcShared) {
-	v := ord[p]
-	e.stats.TopBranches++
-	pv := pos[v]
-	e.listBuf = e.listBuf[:0]
-	for _, w := range e.g.Neighbors(v) {
-		if pos[w] > pv {
-			e.listBuf = append(e.listBuf, w)
-		}
-	}
-	inC := len(e.listBuf)
-	if 1+inC <= int(mc.best.Load()) {
-		e.stats.BnBPrunes++
-		return
-	}
-	e.S = append(e.S[:0], e.origOf(v))
-	if inC == 0 {
-		e.offerS(mc)
-		return
-	}
-	e.setUniverse(e.listBuf, -1, inC)
-	C := e.setArena.Get()
-	for j := 0; j < inC; j++ {
-		C.Set(j)
-	}
-	e.maxCliqueRec(e.adjG, C, inC, mc)
+	e.maxBranch(e.openVertexBranch(ord, pos, p, false), -1, mc)
 }
 
 // runEdgeMaxBranch is runVertexMaxBranch's edge-oriented sibling for the
@@ -202,29 +176,26 @@ func (e *engine) runVertexMaxBranch(ord, pos []int32, p int, mc *mcShared) {
 //
 //hbbmc:noalloc
 func (e *engine) runEdgeMaxBranch(eid int32, mc *mcShared) {
-	a, b := e.g.EdgeEndpoints(eid)
-	r := e.eo.Rank[eid]
-	e.stats.TopBranches++
-	best := int(mc.best.Load())
-	if 2+int(e.inc.Count(eid)) <= best {
+	e.openEdgeBranch(eid)
+	if 2+int(e.inc.Count(eid)) <= int(mc.best.Load()) {
 		// Even all common neighbors together cannot beat the incumbent;
 		// skip before scanning the incidence list.
 		e.stats.BnBPrunes++
 		return
 	}
-	e.S = append(e.S[:0], e.origOf(a), e.origOf(b))
-	e.listBuf = e.listBuf[:0]
-	e.sideBuf = e.sideBuf[:0]
-	lo, hi := e.inc.Range(eid)
-	for t := lo; t < hi; t++ {
-		cn := commonNeighbor{w: e.inc.Third(t), ea: e.inc.CoSrc(t), eb: e.inc.CoDst(t)}
-		if e.eo.Rank[cn.ea] > r && e.eo.Rank[cn.eb] > r {
-			e.listBuf = append(e.listBuf, cn.w)
-			e.sideBuf = append(e.sideBuf, e.cheapSide(cn))
-		}
-	}
-	inC := len(e.listBuf)
-	if 2+inC <= best {
+	common, inC, r := e.classifyEdge(eid)
+	e.layEdgeUniverse(common, inC, inC, false)
+	e.maxBranch(inC, r, mc)
+}
+
+// maxBranch searches a vertex or edge branch (rank r, -1 for a vertex)
+// whose shape step laid its inC candidates out in listBuf. A branch whose
+// whole candidate set cannot beat the incumbent is skipped before any
+// universe is installed.
+//
+//hbbmc:noalloc
+func (e *engine) maxBranch(inC int, r int32, mc *mcShared) {
+	if len(e.S)+inC <= int(mc.best.Load()) {
 		e.stats.BnBPrunes++
 		return
 	}
@@ -232,34 +203,21 @@ func (e *engine) runEdgeMaxBranch(eid int32, mc *mcShared) {
 		e.offerS(mc)
 		return
 	}
-	e.installUniverse(e.listBuf, r, inC)
-	e.fillRowsFromIncidence(r, inC)
-	C := e.setArena.Get()
-	for j := 0; j < inC; j++ {
-		C.Set(j)
-	}
-	e.maxCliqueRec(e.adjH, C, inC, mc)
+	adj, C := e.installCandidates(inC, r)
+	e.maxCliqueRec(adj, C, inC, mc)
 }
 
 // runWholeMaxBranch runs the single whole-graph branch of the BK/BKPivot
 // sessions: S empty, candidates every residual vertex.
+//
+//hbbmc:noalloc
 func (e *engine) runWholeMaxBranch(mc *mcShared) {
-	n := e.g.NumVertices()
-	e.stats.TopBranches++
+	n := e.openWholeBranch()
 	if n == 0 {
 		return
 	}
-	e.listBuf = e.listBuf[:0]
-	for v := int32(0); v < int32(n); v++ {
-		e.listBuf = append(e.listBuf, v)
-	}
-	e.S = e.S[:0]
-	e.setUniverse(e.listBuf, -1, n)
-	C := e.setArena.Get()
-	for j := 0; j < n; j++ {
-		C.Set(j)
-	}
-	e.maxCliqueRec(e.adjG, C, n, mc)
+	adj, C := e.installCandidates(n, -1)
+	e.maxCliqueRec(adj, C, n, mc)
 }
 
 // greedyClique builds a maximal clique of g greedily — start from a

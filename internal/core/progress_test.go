@@ -20,13 +20,12 @@ type hookCall struct {
 
 // runHooked runs one hooked, ordered enumeration and returns the delivered
 // cliques (in delivery order) and the recorded hook calls (in firing order).
-func runHooked(t *testing.T, s *Session, workers int, chunk int) ([][]int32, []hookCall, *Stats) {
+func runHooked(t *testing.T, s *Session, workers int) ([][]int32, []hookCall, *Stats) {
 	t.Helper()
 	var got [][]int32
 	var calls []hookCall
 	stats, err := s.EnumerateWith(context.Background(), QueryOptions{
-		Workers:           workers,
-		ParallelChunkSize: chunk,
+		Workers: workers,
 		BranchDone: func(lo, hi int, cliques int64, max int) {
 			calls = append(calls, hookCall{lo: lo, hi: hi, cliques: cliques, max: max, delivered: len(got)})
 		},
@@ -50,15 +49,15 @@ func TestBranchDoneExactlyOnceResume(t *testing.T) {
 	withProcs(t, 4)
 	g := gen.NoisyCliques(48, 6, 4, 90, 7)
 	for _, algo := range []Algorithm{HBBMC, BKDegen} {
-		s, err := NewSession(g, Options{Algorithm: algo, ET: 3, GR: true})
+		// A small fixed chunk keeps many resume points on the parallel path.
+		s, err := NewSession(g, Options{Algorithm: algo, ET: 3, GR: true, ParallelChunkSize: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := referenceFor(g)
 		branches := s.NumTopBranches()
 		for _, workers := range []int{1, 4} {
-			// A small fixed chunk keeps many resume points on the parallel path.
-			got, calls, stats := runHooked(t, s, workers, 3)
+			got, calls, stats := runHooked(t, s, workers)
 			label := fmt.Sprintf("%v/w%d", algo, workers)
 			if d := verify.Diff(got, want); d != "" {
 				t.Fatalf("%s full hooked run: %s", label, d)
@@ -107,15 +106,14 @@ func TestBranchDoneExactlyOnceResume(t *testing.T) {
 func TestBranchDoneCountWatermark(t *testing.T) {
 	withProcs(t, 4)
 	g := gen.NoisyCliques(48, 6, 4, 90, 8)
-	s, err := NewSession(g, Options{Algorithm: HBBMC, ET: 3, GR: true})
+	s, err := NewSession(g, Options{Algorithm: HBBMC, ET: 3, GR: true, ParallelChunkSize: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	branches := s.NumTopBranches()
 	var calls []hookCall
 	total, _, err := s.CountWith(context.Background(), QueryOptions{
-		Workers:           4,
-		ParallelChunkSize: 3,
+		Workers: 4,
 		BranchDone: func(lo, hi int, cliques int64, max int) {
 			calls = append(calls, hookCall{lo: lo, hi: hi, cliques: cliques, max: max})
 		},
@@ -174,7 +172,7 @@ func TestBranchDoneCountWatermark(t *testing.T) {
 func TestBranchDoneSkippedWhenStopped(t *testing.T) {
 	withProcs(t, 4)
 	g := gen.NoisyCliques(48, 6, 4, 90, 9)
-	s, err := NewSession(g, Options{Algorithm: HBBMC, ET: 3, GR: true})
+	s, err := NewSession(g, Options{Algorithm: HBBMC, ET: 3, GR: true, ParallelChunkSize: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,8 +183,7 @@ func TestBranchDoneSkippedWhenStopped(t *testing.T) {
 		var calls []hookCall
 		stop := len(want) / 2
 		_, err := s.EnumerateWith(context.Background(), QueryOptions{
-			Workers:           workers,
-			ParallelChunkSize: 3,
+			Workers: workers,
 			BranchDone: func(lo, hi int, cliques int64, max int) {
 				calls = append(calls, hookCall{lo: lo, hi: hi, cliques: cliques, delivered: len(got)})
 			},

@@ -65,9 +65,6 @@ func TestQueryOptionsOverrides(t *testing.T) {
 	if _, err := s.EnumerateWith(context.Background(), QueryOptions{MaxCliques: -2}, nil); err == nil {
 		t.Error("MaxCliques below NoCliqueLimit must be rejected")
 	}
-	if _, err := s.EnumerateWith(context.Background(), QueryOptions{EmitBatchSize: -1}, nil); err == nil {
-		t.Error("negative EmitBatchSize must be rejected")
-	}
 }
 
 func TestSessionMemoryEstimate(t *testing.T) {

@@ -294,10 +294,6 @@ type QueryOptions struct {
 	// MaxCliques overrides Options.MaxCliques when non-zero; NoCliqueLimit
 	// removes a session-level budget for this query.
 	MaxCliques int64
-	// EmitBatchSize overrides Options.EmitBatchSize when non-zero.
-	EmitBatchSize int
-	// ParallelChunkSize overrides Options.ParallelChunkSize when non-zero.
-	ParallelChunkSize int
 	// BranchDone, when non-nil, observes durable enumeration progress: it is
 	// invoked once per completed unit of top-level work with the unit's
 	// half-open schedule-position interval [lo, hi), the number of cliques
@@ -355,18 +351,6 @@ func (q QueryOptions) apply(base Options) (Options, error) {
 	case q.MaxCliques > 0:
 		o.MaxCliques = q.MaxCliques
 	}
-	if q.EmitBatchSize < 0 {
-		return o, fmt.Errorf("core: negative QueryOptions.EmitBatchSize %d", q.EmitBatchSize)
-	}
-	if q.EmitBatchSize > 0 {
-		o.EmitBatchSize = q.EmitBatchSize
-	}
-	if q.ParallelChunkSize < 0 {
-		return o, fmt.Errorf("core: negative QueryOptions.ParallelChunkSize %d", q.ParallelChunkSize)
-	}
-	if q.ParallelChunkSize > 0 {
-		o.ParallelChunkSize = q.ParallelChunkSize
-	}
 	if q.BranchLo < 0 || q.BranchHi < q.BranchLo {
 		return o, fmt.Errorf("core: invalid branch range [%d,%d)", q.BranchLo, q.BranchHi)
 	}
@@ -394,7 +378,7 @@ func (q QueryOptions) rng() branchRange {
 }
 
 // EnumerateWith is Enumerate with per-query overrides of the run knobs
-// (worker count, clique budget, emit batching). It is the query entry
+// (worker count, clique budget). It is the query entry
 // point for services that share one cached Session across requests with
 // different per-request limits.
 func (s *Session) EnumerateWith(ctx context.Context, q QueryOptions, visit Visitor) (*Stats, error) {

@@ -67,15 +67,16 @@ func (a word2) last() int {
 	return 63 - bits.LeadingZeros64(a.lo)
 }
 
-// installWordUniverse is installUniverse plus the row fill for an edge
-// branch of at most 128 members, with the rows built as word2s in
-// e.wordG/e.wordH: walked from the side edges' incidence lists, or cut from
-// the anchor group's rows when cut is set. It reports whether a candidate
-// edge is masked.
+// installWordUniverse is setUniverse for an edge branch of at most 128
+// members, with the rows built as word2s in e.wordG/e.wordH: walked from
+// the side edges' incidence lists, or cut from the anchor group's rows
+// when cut is set. The word kernels read no arena and no bitset row, so it
+// maps the local ids and nothing more. It reports whether a candidate edge
+// is masked.
 //
 //hbbmc:noalloc
 func (e *engine) installWordUniverse(vs []int32, baseRank int32, rowCount, inC int, cut bool) bool {
-	e.installUniverse(vs, baseRank, 0)
+	e.mapUniverse(vs)
 	e.wordRows = lowBits2(rowCount)
 	if cut {
 		return e.cutWordRows(rowCount, inC)
