@@ -44,7 +44,6 @@ type engine struct {
 	univ       bitset.Set   // residual-id membership bitmap of the universe
 	adjG       []bitset.Set // full residual adjacency within the universe
 	adjH       []bitset.Set // masked adjacency (edge rank > branch base rank)
-	masked     bool
 
 	// Full and masked rows of a universe of at most 128 members, two words
 	// each (wordrec.go); wordRows marks the members whose rows were built.
@@ -185,7 +184,6 @@ func (e *engine) degreeSum(rowCount int) int64 {
 func (e *engine) installUniverse(vs []int32, baseRank int32, rowCount int) {
 	e.mapUniverse(vs)
 	k := len(vs)
-	e.masked = baseRank >= 0
 	e.rowArena.Reset(k)
 	e.setArena.Reset(k)
 	e.cntArena.reset()
@@ -199,7 +197,7 @@ func (e *engine) installUniverse(vs []int32, baseRank int32, rowCount int) {
 		e.adjG[i], e.adjH[i] = nil, nil
 		if i < rowCount {
 			e.adjG[i] = e.rowArena.Get()
-			if e.masked {
+			if baseRank >= 0 {
 				e.adjH[i] = e.rowArena.Get()
 			}
 		}

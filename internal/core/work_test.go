@@ -55,8 +55,8 @@ type workRow struct {
 	PivotWords        int64  `json:"pivot_words"`
 }
 
-func workRowOf(graph, config string, st *Stats) workRow {
-	return workRow{graph, config, st.Cliques, st.Calls, st.VertexCalls, st.EdgeCalls, st.TopBranches,
+func workRowOf(name, config string, st *Stats) workRow {
+	return workRow{name, config, st.Cliques, st.Calls, st.VertexCalls, st.EdgeCalls, st.TopBranches,
 		st.PlexBranches, st.EarlyTerminations, st.ETCliques, st.MaxCliqueSize,
 		st.UniverseEntries, st.UniverseBits, st.PivotWords}
 }
