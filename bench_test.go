@@ -240,29 +240,6 @@ func BenchmarkParallelDeepSwitch(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelEmitBatch measures the emit path under contention: a
-// live callback at 8 workers with per-clique locking (batch=1) vs the
-// default batched flushing.
-func BenchmarkParallelEmitBatch(b *testing.B) {
-	g := benchGraph(b, "NA")
-	for _, batch := range []int{1, 256} {
-		opts := hbbmc.Options{Algorithm: hbbmc.HBBMC, ET: 3, GR: true, EmitBatchSize: batch}
-		b.Run(fmt.Sprintf("batch%d", batch), func(b *testing.B) {
-			withProcs(b, 8)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				var n int64
-				if _, err := hbbmc.EnumerateParallel(g, opts, 8, func([]int32) { n++ }); err != nil {
-					b.Fatal(err)
-				}
-				if n == 0 {
-					b.Fatal("no cliques emitted")
-				}
-			}
-		})
-	}
-}
-
 // --- substrate micro-benchmarks ---------------------------------------------
 
 func BenchmarkSubstrateProfile(b *testing.B) {

@@ -5,7 +5,7 @@
 //
 //	mce -in graph.txt [-format auto] [-algo hbbmc] [-et 3] [-gr]
 //	    [-d 1] [-edgeorder truss] [-inner pivot] [-out cliques.txt] [-quiet]
-//	    [-workers 1] [-emitbatch 0] [-chunk 0] [-timeout 0] [-maxcliques 0]
+//	    [-workers 1] [-timeout 0] [-maxcliques 0]
 //	    [-save graph.hbg] [-cache] [-json]
 //	    [-maxclique | -topk K | -kcliques K]
 //
@@ -33,9 +33,7 @@
 // Each maximal clique is printed as one line of vertex ids; -quiet
 // suppresses clique output and reports statistics only. -workers 0
 // enumerates on all cores (-workers N on N); parallel runs report cliques
-// in nondeterministic order. -emitbatch and -chunk tune the parallel
-// scheduler's emit batching and work-queue chunking (0 = adaptive
-// defaults).
+// in nondeterministic order.
 //
 // -timeout bounds the wall-clock time of the enumeration (e.g. -timeout
 // 30s; 0 = unlimited) and -maxcliques stops after that many cliques
@@ -84,8 +82,6 @@ func main() {
 		quiet      = flag.Bool("quiet", false, "suppress clique output, print statistics only")
 		profile    = flag.Bool("profile", false, "print the graph's structural profile (δ, τ, ρ, h)")
 		workers    = flag.Int("workers", 1, "worker goroutines (1 = sequential, 0 = all cores)")
-		emitBatch  = flag.Int("emitbatch", 0, "cliques buffered per worker before a batched emit flush (0 = default)")
-		chunk      = flag.Int("chunk", 0, "fixed branches per work-queue pop (0 = adaptive guided chunking)")
 		timeout    = flag.Duration("timeout", 0, "stop the enumeration after this wall-clock time, keeping partial results (0 = unlimited)")
 		maxCliques = flag.Int64("maxcliques", 0, "stop after this many maximal cliques (0 = unlimited)")
 		jsonOut    = flag.Bool("json", false, "print the run summary as one JSON line on stderr instead of prose, with the full statistics")
@@ -180,8 +176,6 @@ func main() {
 	} else {
 		opts.Workers = *workers
 	}
-	opts.EmitBatchSize = *emitBatch
-	opts.ParallelChunkSize = *chunk
 	opts.MaxCliques = *maxCliques
 
 	ctx := context.Background()

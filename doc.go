@@ -118,10 +118,12 @@
 // caller's (so goroutine-local mechanisms — recover around the query,
 // runtime.Goexit, testing.T.Fatalf — do not reach across), cliques arrive
 // in nondeterministic order, and they are delivered in per-worker batches
-// (Options.EmitBatchSize, default 256), so a clique may be reported
-// slightly after its discovery. QueryOptions.OrderedEmit trades that for
-// delivery in schedule order, chunk by chunk. As with one worker, the
-// slice passed to the Visitor is reused — copy it to retain it.
+// of 256, so a clique may be reported slightly after its discovery. A
+// query with a QueryOptions.BranchDone hook is delivered in schedule order
+// instead, chunk by chunk, and the hook reports each chunk after its
+// cliques: a checkpoint taken in the hook is a resumable prefix. As with
+// one worker, the slice passed to the Visitor is reused — copy it to
+// retain it.
 //
 // # Performance architecture
 //

@@ -258,9 +258,9 @@ func GenerateMoonMoser(s int) *Graph { return gen.MoonMoser(s) }
 
 // EnumerateParallel is Enumerate with the top-level branches distributed
 // over up to `workers` goroutines (0 = Options.Workers, then GOMAXPROCS).
-// A dynamic work queue hands out branch chunks — large while the queue is
-// full, single branches toward the skewed tail of the ordering — and each
-// worker buffers its cliques, flushing batches of Options.EmitBatchSize to
+// A dynamic work queue hands out the branches in descending estimated cost
+// — single branches at the expensive head, chunks growing toward the cheap
+// tail — and each worker buffers its cliques, flushing batches of 256 to
 // emit under one lock. emit is therefore never called concurrently, but
 // cliques arrive in nondeterministic order and slightly after discovery.
 //

@@ -255,7 +255,7 @@ func runAnchorMode(t *testing.T, s *Session, mode string, keep bool) anchorRun {
 	case "branch_done":
 		q.BranchDone = func(int, int, int64, int) {}
 	case "ordered":
-		q.OrderedEmit = true
+		q.BranchDone = func(int, int, int64, int) {}
 	case "ranges":
 		n := s.NumTopBranches()
 		for _, r := range [][2]int{{0, n / 3}, {n / 3, n / 2}, {n / 2, n}} {

@@ -258,18 +258,6 @@ type Options struct {
 	// counted and delivered regardless of worker count (which cliques is
 	// nondeterministic under parallelism).
 	MaxCliques int64
-	// EmitBatchSize is the number of cliques each parallel worker buffers
-	// before flushing them to the user callback in one locked batch
-	// (0 = default 256, 1 = flush every clique). Larger batches cut lock
-	// traffic but delay delivery; the callback is never called
-	// concurrently either way. Ignored by the sequential Enumerate.
-	EmitBatchSize int
-	// ParallelChunkSize fixes the number of top-level branches a parallel
-	// worker claims per work-queue pop. 0 (the default) selects guided
-	// chunking: chunks start at remaining/(workers·4) and decay to single
-	// branches toward the tail of the ordering, where branch costs are
-	// most skewed. Ignored by the sequential Enumerate.
-	ParallelChunkSize int
 }
 
 // Defaults returns the paper's HBBMC++ configuration: hybrid branching with
@@ -305,15 +293,6 @@ func (o Options) normalized() (Options, error) {
 	if o.MaxCliques < 0 {
 		return o, fmt.Errorf("core: negative MaxCliques %d", o.MaxCliques)
 	}
-	if o.EmitBatchSize < 0 {
-		return o, fmt.Errorf("core: negative EmitBatchSize %d", o.EmitBatchSize)
-	}
-	if o.EmitBatchSize == 0 {
-		o.EmitBatchSize = 256
-	}
-	if o.ParallelChunkSize < 0 {
-		return o, fmt.Errorf("core: negative ParallelChunkSize %d", o.ParallelChunkSize)
-	}
 	if _, ok := algorithmNames[o.Algorithm]; !ok {
 		return o, fmt.Errorf("core: unknown algorithm %d", int(o.Algorithm))
 	}
@@ -332,14 +311,15 @@ func (o Options) normalized() (Options, error) {
 
 // SessionKey returns a canonical string over the fields that determine a
 // Session's cached preprocessing and recursion behavior: the algorithm, the
-// ET threshold, the reduction settings, the hybrid switch depth, the edge
-// ordering, the inner recursion and the whole-graph guard. Two Options with
-// equal SessionKeys can share one Session; the per-run knobs (Workers,
-// MaxCliques, EmitBatchSize, ParallelChunkSize) are excluded — they vary
-// per query through QueryOptions. The key is computed on the normalized
-// options, so default spellings (SwitchDepth 0 vs 1) collide as they
-// should; invalid options yield a key that simply never matches a
-// buildable session.
+// ET threshold, the reduction settings (GR and GRMaxDegree), the hybrid
+// switch depth, the edge ordering, the inner recursion and the whole-graph
+// guard (MaxWholeGraphVertices). Two Options with equal SessionKeys can
+// share one Session, and a distributed work descriptor carries the key so
+// that peers can check they build the same one. The per-run knobs, Workers
+// and MaxCliques, are excluded: they vary per query through QueryOptions.
+// The key is computed on the normalized options, so default spellings
+// (SwitchDepth 0 vs 1) collide as they should; invalid options yield a key
+// that simply never matches a buildable session.
 func (o Options) SessionKey() string {
 	if n, err := o.normalized(); err == nil {
 		o = n

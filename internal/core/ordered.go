@@ -5,52 +5,37 @@ import (
 	"sync/atomic"
 )
 
-// This file implements ordered emission for multi-worker runs: workers
-// buffer each work-queue chunk's cliques locally and a sequencer releases
-// the buffers to the user visitor in ascending schedule-position order.
-// The point is a resumable stream — everything the visitor saw before the
-// progress hook reported chunk [lo, hi) belongs to residue + branches
+// This file implements ordered release for hooked multi-worker runs:
+// workers hand each finished work-queue chunk to a sequencer, which reports
+// the chunks to the BranchDone hook in ascending schedule-position order
+// and, when the query has a visitor, first releases the chunk's buffered
+// cliques to it. The point is a resumable stream — everything the visitor
+// saw before the hook reported chunk [lo, hi) belongs to residue + branches
 // [0, hi), so a checkpoint written in the hook never claims an undelivered
-// clique and a resume from it never re-delivers a claimed one.
+// clique and a resume from it never re-delivers a claimed one. A count has
+// no visitor, so only its reports are put in order.
 
-// orderedChunk buffers the cliques one worker found in one work-queue chunk
-// of schedule positions [begin, end), flattened (lens + data) like an
-// emitBatcher batch so buffering costs no per-clique allocation.
+// orderedChunk is one work-queue chunk of schedule positions [begin, end)
+// on its way through the sequencer: the number of cliques its worker found,
+// the worker's running maximum clique size, and, on a run with a visitor,
+// the cliques themselves, flattened (lens + data) like an emitBatcher batch
+// so buffering costs no per-clique allocation.
 type orderedChunk struct {
 	begin, end int
+	cliques    int64
+	max        int
 	lens       []int32
 	data       []int32
-	max        int
-}
-
-func (c *orderedChunk) add(cl []int32) {
-	c.lens = append(c.lens, int32(len(cl)))
-	c.data = append(c.data, cl...)
-	if len(cl) > c.max {
-		c.max = len(cl)
-	}
-}
-
-// orderedWriter is one worker's emit target in ordered mode; the driver
-// points cur at a fresh chunk before running it.
-type orderedWriter struct{ cur *orderedChunk }
-
-// add buffers one clique (copying it — the engine reuses the slice). It
-// always reports true: a visitor stop propagates through the run's stop
-// latch when the sequencer later delivers the chunk.
-func (w *orderedWriter) add(c []int32) bool {
-	w.cur.add(c)
-	return true
 }
 
 // orderedSeq re-sequences completed chunks into ascending schedule order.
 // Workers hand finished chunks to complete(); whichever worker finds the
 // next-in-order chunk present becomes the releaser and delivers pending
-// chunks (and fires the progress hook, when set) until it hits a gap — the
-// combining-lock pattern, so delivery and the hook run on one goroutine at
-// a time while other workers only pay a map insert.
+// chunks and fires the hook until it hits a gap — the combining-lock
+// pattern, so delivery and the hook run on one goroutine at a time while
+// other workers only pay a map insert.
 type orderedSeq struct {
-	visit Visitor
+	visit Visitor // nil on a count
 	rc    *runControl
 	hook  func(lo, hi int, cliques int64, maxCliqueSize int)
 
@@ -71,11 +56,12 @@ type orderedSeq struct {
 	refused bool
 	// dropped counts buffered cliques that were never delivered — their
 	// finding workers already counted them, so the driver subtracts this to
-	// keep Stats.Cliques = cliques actually reported.
+	// keep Stats.Cliques = cliques actually reported. A count buffers none,
+	// so its dropped count stays zero.
 	//hbbmc:guardedby mu
 	dropped int64
 
-	// released counts delivered chunks for Stats.EmitBatches.
+	// released counts chunks delivered to a visitor, for Stats.EmitBatches.
 	released atomic.Int64
 }
 
@@ -108,13 +94,12 @@ func (s *orderedSeq) complete(c *orderedChunk) {
 		delete(s.pending, s.next)
 		s.mu.Unlock()
 		delivered, full := s.deliver(nc)
-		s.released.Add(1)
-		if full && s.hook != nil {
-			// The chunk's cliques reached the visitor: the prefix up to
-			// nc.end is now claimable. Firing here, on the single releasing
-			// goroutine, is what lets the hook both persist a checkpoint and
-			// inject a marker into the same stream with nothing out of order
-			// on either side of it.
+		if full {
+			// The chunk's cliques reached the visitor, or there is none: the
+			// prefix up to nc.end is now claimable. Firing here, on the
+			// single releasing goroutine, is what lets the hook both persist
+			// a checkpoint and inject a marker into the same stream with
+			// nothing out of order on either side of it.
 			s.hook(nc.begin, nc.end, delivered, nc.max)
 		}
 		s.mu.Lock()
@@ -130,8 +115,13 @@ func (s *orderedSeq) complete(c *orderedChunk) {
 
 // deliver walks one chunk's buffered cliques into the visitor. The slices
 // alias the chunk buffer, matching the streaming reuse contract. A visitor
-// refusal latches the run's stop flag and aborts the chunk.
+// refusal latches the run's stop flag and aborts the chunk. Without a
+// visitor the chunk's found cliques count as delivered.
 func (s *orderedSeq) deliver(c *orderedChunk) (delivered int64, full bool) {
+	if s.visit == nil {
+		return c.cliques, true
+	}
+	s.released.Add(1)
 	off := 0
 	for _, l := range c.lens {
 		cl := c.data[off : off+int(l) : off+int(l)]
@@ -145,21 +135,15 @@ func (s *orderedSeq) deliver(c *orderedChunk) (delivered int64, full bool) {
 	return delivered, true
 }
 
-// abandon drops every still-pending chunk; the driver calls it after the
-// workers join so the dropped count is final before stats are merged.
-func (s *orderedSeq) abandon() {
+// abandon drops every still-pending chunk and returns the number of
+// buffered cliques never delivered; the driver calls it after the workers
+// join, when the lock is uncontended.
+func (s *orderedSeq) abandon() int64 {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	for _, c := range s.pending {
 		s.dropped += int64(len(c.lens))
 	}
 	clear(s.pending)
-	s.mu.Unlock()
-}
-
-// droppedCount reads the undelivered-clique count; callers use it after the
-// workers join, when the lock is uncontended.
-func (s *orderedSeq) droppedCount() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.dropped
 }

@@ -12,17 +12,18 @@ import (
 // parallel MCE literature does: top-level branches of the ordered
 // frameworks are independent.
 //
-// Branches are handed out through a dynamic work queue (an atomic cursor
-// with guided chunking: large chunks while the queue is full, single
-// branches toward the skewed tail of the truss/degeneracy order), so a
-// worker that draws a cheap region keeps pulling work instead of idling —
-// the load imbalance that static striding suffers on power-law graphs.
+// Branches are handed out through a dynamic work queue: an atomic cursor
+// over the cost-ordered schedule, claiming single branches at the
+// expensive head and chunks that grow toward the cheap tail (RampUpChunk),
+// so a worker that draws a cheap region keeps pulling work instead of
+// idling — the load imbalance that static striding suffers on power-law
+// graphs.
 //
 // emit is called from multiple goroutines but never concurrently; each
-// worker buffers its cliques and flushes them in batches under one lock
-// (Options.EmitBatchSize), so the clique order is nondeterministic and a
-// clique may be reported a short time after it was found. Workers resolve
-// as workers arg > Options.Workers > GOMAXPROCS, clamped to GOMAXPROCS.
+// worker buffers its cliques and flushes them in batches of 256 under one
+// lock, so the clique order is nondeterministic and a clique may be
+// reported a short time after it was found. Workers resolve as workers arg
+// > Options.Workers > GOMAXPROCS, clamped to GOMAXPROCS.
 //
 // All ordered algorithms parallelise, including HBBMC at any SwitchDepth;
 // only the whole-graph algorithms (BK, BKPivot) consist of a single

@@ -184,13 +184,12 @@ func TestParallelStatsObservability(t *testing.T) {
 }
 
 // TestParallelEmitNeverConcurrent hammers the batched emit path with many
-// workers and a tiny batch size; run under -race (as CI does) it also
-// exercises the batcher/sink synchronisation.
+// workers; run under -race (as CI does) it also exercises the batcher/sink
+// synchronisation.
 func TestParallelEmitNeverConcurrent(t *testing.T) {
 	withProcs(t, 8)
 	g := gen.NoisyCliques(400, 40, 8, 900, 77)
 	opts := Defaults()
-	opts.EmitBatchSize = 2
 	var inEmit atomic.Int32
 	var emitted int64
 	stats, err := EnumerateParallel(g, opts, 8, func(c []int32) {
@@ -211,52 +210,6 @@ func TestParallelEmitNeverConcurrent(t *testing.T) {
 	}
 	if stats.Workers > 1 && stats.EmitBatches == 0 {
 		t.Fatal("parallel emit run recorded no batches")
-	}
-}
-
-// TestParallelEmitBatchSizes checks that the batch size is invisible in the
-// results: every size yields the same clique set.
-func TestParallelEmitBatchSizes(t *testing.T) {
-	withProcs(t, 4)
-	g := gen.NoisyCliques(200, 18, 8, 400, 11)
-	want, _, err := Collect(g, Defaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, batch := range []int{1, 3, 256, 1 << 20} {
-		opts := Defaults()
-		opts.EmitBatchSize = batch
-		var got [][]int32
-		if _, err := EnumerateParallel(g, opts, 4, func(c []int32) {
-			got = append(got, append([]int32(nil), c...))
-		}); err != nil {
-			t.Fatalf("batch=%d: %v", batch, err)
-		}
-		if d := verify.Diff(got, want); d != "" {
-			t.Fatalf("batch=%d: %s", batch, d)
-		}
-	}
-}
-
-// TestParallelChunkSizes checks that fixed work-queue chunking is likewise
-// invisible in the results.
-func TestParallelChunkSizes(t *testing.T) {
-	withProcs(t, 4)
-	g := gen.NoisyCliques(200, 18, 8, 400, 12)
-	want, _, err := Count(g, Defaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, chunk := range []int{1, 5, 4096} {
-		opts := Defaults()
-		opts.ParallelChunkSize = chunk
-		got, _, err := countParallel(g, opts, 4)
-		if err != nil {
-			t.Fatalf("chunk=%d: %v", chunk, err)
-		}
-		if got != want {
-			t.Fatalf("chunk=%d: %d cliques, want %d", chunk, got, want)
-		}
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"testing"
 
 	"github.com/graphmining/hbbmc/internal/gen"
@@ -29,7 +28,6 @@ func runHooked(t *testing.T, s *Session, workers int) ([][]int32, []hookCall, *S
 		BranchDone: func(lo, hi int, cliques int64, max int) {
 			calls = append(calls, hookCall{lo: lo, hi: hi, cliques: cliques, max: max, delivered: len(got)})
 		},
-		OrderedEmit: true,
 	}, func(c []int32) bool {
 		got = append(got, append([]int32(nil), c...))
 		return true
@@ -49,8 +47,7 @@ func TestBranchDoneExactlyOnceResume(t *testing.T) {
 	withProcs(t, 4)
 	g := gen.NoisyCliques(48, 6, 4, 90, 7)
 	for _, algo := range []Algorithm{HBBMC, BKDegen} {
-		// A small fixed chunk keeps many resume points on the parallel path.
-		s, err := NewSession(g, Options{Algorithm: algo, ET: 3, GR: true, ParallelChunkSize: 3})
+		s, err := NewSession(g, Options{Algorithm: algo, ET: 3, GR: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,53 +96,58 @@ func TestBranchDoneExactlyOnceResume(t *testing.T) {
 	}
 }
 
-// TestBranchDoneCountWatermark covers the unordered counting path: hook
-// calls arrive out of order from parallel workers, the consumer merges them
-// into a contiguous-prefix watermark, and a count resumed from any such
-// watermark plus the prefix's clique sum reproduces the full count.
+// TestBranchDoneCountWatermark covers the counting path: a multi-worker
+// count has no visitor, yet its hook calls still arrive in ascending,
+// contiguous schedule order, so every call's hi is a watermark, and a count
+// resumed from any watermark plus the prefix's clique sum reproduces the
+// full count. Workers finish chunks out of order on most runs of this
+// graph, so the repeated runs catch a driver that reports a count's chunks
+// as they complete instead of through the ordered sequencer.
 func TestBranchDoneCountWatermark(t *testing.T) {
 	withProcs(t, 4)
-	g := gen.NoisyCliques(48, 6, 4, 90, 8)
-	s, err := NewSession(g, Options{Algorithm: HBBMC, ET: 3, GR: true, ParallelChunkSize: 3})
+	g := gen.NoisyCliques(400, 40, 9, 900, 8)
+	s, err := NewSession(g, Options{Algorithm: HBBMC, ET: 3, GR: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	branches := s.NumTopBranches()
 	var calls []hookCall
-	total, _, err := s.CountWith(context.Background(), QueryOptions{
-		Workers: 4,
-		BranchDone: func(lo, hi int, cliques int64, max int) {
-			calls = append(calls, hookCall{lo: lo, hi: hi, cliques: cliques, max: max})
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The hook is documented single-goroutine-at-a-time but unordered here;
-	// sort by lo and check the intervals tile [0, branches) exactly.
-	sort.Slice(calls, func(i, j int) bool {
-		if calls[i].lo != calls[j].lo {
-			return calls[i].lo < calls[j].lo
+	var total int64
+	for run := 0; run < 10; run++ {
+		calls = calls[:0]
+		n, stats, err := s.CountWith(context.Background(), QueryOptions{
+			Workers: 4,
+			BranchDone: func(lo, hi int, cliques int64, max int) {
+				calls = append(calls, hookCall{lo: lo, hi: hi, cliques: cliques, max: max})
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return calls[i].hi < calls[j].hi
-	})
-	if calls[0].lo != 0 || calls[0].hi != 0 {
-		t.Fatalf("missing residue call: %+v", calls[0])
-	}
-	next := 0
-	var sum int64
-	for _, c := range calls[1:] {
-		if c.lo != next {
-			t.Fatalf("intervals do not tile: [%d,%d) after %d", c.lo, c.hi, next)
+		if stats.Workers != 4 || stats.EmitBatches != 0 {
+			t.Fatalf("count ran on %d workers with %d emit batches, want 4 and none without a visitor",
+				stats.Workers, stats.EmitBatches)
 		}
-		next = c.hi
-		sum += c.cliques
-	}
-	if next != branches {
-		t.Fatalf("intervals cover [0,%d) of %d", next, branches)
-	}
-	if sum+calls[0].cliques != total {
-		t.Fatalf("deltas sum %d + residue %d != total %d", sum, calls[0].cliques, total)
+		if len(calls) < 3 || calls[0].lo != 0 || calls[0].hi != 0 {
+			t.Fatalf("run %d: %d hook calls, want the residue call and at least two chunks", run, len(calls))
+		}
+		next := 0
+		var sum int64
+		for i, c := range calls[1:] {
+			if c.lo != next || c.hi <= c.lo {
+				t.Fatalf("run %d: hook call %d is [%d,%d), want lo=%d: calls must arrive in ascending, contiguous order",
+					run, i+1, c.lo, c.hi, next)
+			}
+			next = c.hi
+			sum += c.cliques
+		}
+		if next != branches {
+			t.Fatalf("run %d: intervals cover [0,%d) of %d", run, next, branches)
+		}
+		if sum+calls[0].cliques != n {
+			t.Fatalf("run %d: deltas sum %d + residue %d != total %d", run, sum, calls[0].cliques, n)
+		}
+		total = n
 	}
 	// Resume from a few mid-run watermarks: prefix sum + ranged recount.
 	for _, cut := range []int{1, len(calls) / 2, len(calls) - 1} {
@@ -172,7 +174,7 @@ func TestBranchDoneCountWatermark(t *testing.T) {
 func TestBranchDoneSkippedWhenStopped(t *testing.T) {
 	withProcs(t, 4)
 	g := gen.NoisyCliques(48, 6, 4, 90, 9)
-	s, err := NewSession(g, Options{Algorithm: HBBMC, ET: 3, GR: true, ParallelChunkSize: 3})
+	s, err := NewSession(g, Options{Algorithm: HBBMC, ET: 3, GR: true})
 	if err != nil {
 		t.Fatal(err)
 	}

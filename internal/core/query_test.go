@@ -117,10 +117,8 @@ func TestSessionMemoryEstimate(t *testing.T) {
 func TestOptionsSessionKey(t *testing.T) {
 	base := Defaults()
 	same := base
-	same.Workers = 8           // per-run knob: must not change the key
-	same.MaxCliques = 100      // per-run knob
-	same.EmitBatchSize = 7     // per-run knob
-	same.ParallelChunkSize = 3 // per-run knob
+	same.Workers = 8      // per-run knob: must not change the key
+	same.MaxCliques = 100 // per-run knob
 	if base.SessionKey() != same.SessionKey() {
 		t.Fatalf("per-run knobs changed the session key:\n%s\n%s", base.SessionKey(), same.SessionKey())
 	}

@@ -37,7 +37,8 @@ func RampUpChunk(pos, remaining, consumers int) int {
 
 // workQueue distributes the top-level branch indices [lo, n) to workers via
 // a single atomic cursor. Workers pull half-open ranges with next(); the
-// chunk size is either fixed (fixed > 0) or guided (see guidedDivisor).
+// chunk size is either fixed (fixed > 0: the lone worker's whole range, or
+// one branch at a time) or guided (see guidedDivisor and rampUp).
 type workQueue struct {
 	cursor  atomic.Int64 // branches claimed so far, relative to lo
 	lo      int64
@@ -138,11 +139,15 @@ func (s *emitSink) droppedCount() int64 {
 	return s.dropped
 }
 
-// emitBatchDataCap bounds the flattened vertex-id buffer of one batcher so
-// graphs with huge cliques cannot grow per-worker buffers without bound: a
-// batcher flushes when it holds EmitBatchSize cliques or this many ids,
-// whichever comes first.
-const emitBatchDataCap = 1 << 15
+// emitBatchSize is the number of cliques a worker of a batched run buffers
+// before it flushes them to the visitor in one locked batch, and
+// emitBatchDataCap bounds the flattened vertex-id buffer so graphs with huge
+// cliques cannot grow per-worker buffers without bound: a batcher flushes
+// at whichever it reaches first.
+const (
+	emitBatchSize    = 256
+	emitBatchDataCap = 1 << 15
+)
 
 // emitBatcher buffers the cliques of one worker and hands them to the sink
 // in batches, cutting the cross-worker lock traffic from one acquisition

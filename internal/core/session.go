@@ -297,28 +297,25 @@ type QueryOptions struct {
 	// BranchDone, when non-nil, observes durable enumeration progress: it is
 	// invoked once per completed unit of top-level work with the unit's
 	// half-open schedule-position interval [lo, hi), the number of cliques
-	// the unit delivered to the visitor, and a running maximum clique size
-	// that is at least the unit's own maximum. One degenerate call with
-	// lo == hi == 0 reports the preprocessing residue (reduction cliques and,
-	// for the edge-oriented frameworks, isolated vertices), which every run
-	// emits before any branch so that "residue plus branches [0, W)" is a
-	// well-defined resumable prefix. Units are single branches on a
-	// one-worker run and work-queue chunks on a multi-worker one; a unit
-	// whose completion or delivery is uncertain (the run was stopped or
-	// cancelled mid-unit) is never reported, so a checkpoint built from these
-	// calls only ever under-claims. The hook is called from at most one
-	// goroutine at a time but not always the caller's; it must not call back
-	// into the session.
+	// the unit delivered to the visitor (or found, without one), and a
+	// running maximum clique size that is at least the unit's own maximum.
+	// One degenerate call with lo == hi == 0 reports the preprocessing
+	// residue (reduction cliques and, for the edge-oriented frameworks,
+	// isolated vertices), which every run emits before any branch so that
+	// "residue plus branches [0, W)" is a well-defined resumable prefix.
+	// Units are single branches on a one-worker run and work-queue chunks on
+	// a multi-worker one, reported in ascending schedule order at every
+	// worker count, with or without a visitor. A hooked multi-worker run
+	// with a visitor therefore delivers its cliques in that order too
+	// (ordered release: residue first, then each chunk in turn), so
+	// everything delivered before the hook reports unit [lo, hi) belongs to
+	// residue + branches [0, hi); the price is that completed chunks wait in
+	// memory behind a slow one. A unit whose completion or delivery is
+	// uncertain (the run was stopped or cancelled mid-unit) is never
+	// reported, so a checkpoint built from these calls only ever
+	// under-claims. The hook is called from at most one goroutine at a time
+	// but not always the caller's; it must not call back into the session.
 	BranchDone func(lo, hi int, cliques int64, maxCliqueSize int)
-	// OrderedEmit makes a parallel enumeration deliver cliques to the
-	// visitor in ascending schedule-position order (residue first, then each
-	// branch chunk in turn), trading emit pipelining for a deterministic,
-	// resumable stream: everything delivered before BranchDone reports unit
-	// [lo, hi) belongs to residue + branches [0, hi). Implied by BranchDone
-	// when a visitor is set. No effect on one-worker runs, which deliver in
-	// one deterministic order already: chunk by chunk, and inside a chunk
-	// the edge branches of the same anchor together (anchor.go).
-	OrderedEmit bool
 	// BranchLo and BranchHi restrict the query to the half-open interval
 	// [BranchLo, BranchHi) of top-level branch schedule positions — the
 	// execution side of a distributed work descriptor (internal/distrib).
@@ -386,7 +383,7 @@ func (s *Session) EnumerateWith(ctx context.Context, q QueryOptions, visit Visit
 	if err != nil {
 		return nil, err
 	}
-	return s.enumerateRange(ctx, opts, q.rng(), progress{hook: q.BranchDone, ordered: q.OrderedEmit}, visit)
+	return s.enumerateRange(ctx, opts, q.rng(), q.BranchDone, visit)
 }
 
 // CountWith is Count with per-query overrides; see EnumerateWith.
@@ -480,20 +477,13 @@ func resolveWorkers(w int) int {
 // resolves opts.Workers, so a parallel request that clamps down to one
 // worker still records its fallback reason in Stats.ParallelFallback.
 func (s *Session) enumerate(ctx context.Context, opts Options, visit Visitor) (*Stats, error) {
-	return s.enumerateRange(ctx, opts, branchRange{}, progress{}, visit)
+	return s.enumerateRange(ctx, opts, branchRange{}, nil, visit)
 }
 
-// progress bundles the per-query durability hooks of QueryOptions: the
-// branch-completion observer and the ordered-emission request. The zero
-// value is a plain query.
-type progress struct {
-	hook    func(lo, hi int, cliques int64, maxCliqueSize int)
-	ordered bool
-}
-
-// enumerateRange is enumerate restricted to a branch interval; rng's zero
-// value runs the full branch space.
-func (s *Session) enumerateRange(ctx context.Context, opts Options, rng branchRange, prog progress, visit Visitor) (*Stats, error) {
+// enumerateRange is enumerate restricted to a branch interval and observed
+// by hook (QueryOptions.BranchDone, nil for none); rng's zero value runs
+// the full branch space.
+func (s *Session) enumerateRange(ctx context.Context, opts Options, rng branchRange, hook func(lo, hi int, cliques int64, maxCliqueSize int), visit Visitor) (*Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -516,7 +506,7 @@ func (s *Session) enumerateRange(ctx context.Context, opts Options, rng branchRa
 			e.runIsolatedVertices()
 		}
 	}
-	plan.rng, plan.prog, plan.visit = rng, prog, visit
+	plan.rng, plan.hook, plan.visit = rng, hook, visit
 	stats := s.drive(rc, opts, plan)
 	return stats, rc.err()
 }

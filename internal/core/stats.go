@@ -102,7 +102,7 @@ type Stats struct {
 	// worker, and states why (whole-graph algorithm, single worker).
 	ParallelFallback string `json:"parallel_fallback,omitempty"`
 	// EmitBatches counts the batched-emit flushes of a parallel run, or
-	// its released chunks under ordered emission (0 when emit was nil or
+	// its released chunks under ordered release (0 when emit was nil or
 	// the run had one worker). The sink counts globally; the coordinator
 	// copies the total after the join.
 	//hbbmc:nomerge read from the shared emit sink after workers join

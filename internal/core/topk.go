@@ -147,6 +147,6 @@ func (s *Session) TopK(ctx context.Context, k int, q QueryOptions) ([][]int32, *
 	}
 	opts.MaxCliques = 0 // a clique budget would truncate below the true top-k
 	acc := &topKAccum{k: k}
-	stats, err := s.enumerateRange(ctx, opts, branchRange{}, progress{}, acc.visit)
+	stats, err := s.enumerateRange(ctx, opts, branchRange{}, nil, acc.visit)
 	return acc.sorted(), stats, err
 }

@@ -45,8 +45,9 @@ type branchPlan struct {
 	// shards that partition the branch space partition the clique set too.
 	residue func(e *engine)
 
-	rng   branchRange
-	prog  progress
+	rng branchRange
+	// hook is the query's BranchDone observer, nil when it has none.
+	hook  func(lo, hi int, cliques int64, maxCliqueSize int)
 	visit Visitor
 }
 
@@ -87,18 +88,26 @@ type driver struct {
 	rc    *runControl
 	queue *workQueue
 	sched []int32     // nil: positions are raw ordering positions
-	oseq  *orderedSeq // ordered chunk release; nil otherwise
-	// hook is the BranchDone hook workers report their own chunks to; the
-	// ordered sequencer reports from its releasing goroutine instead.
-	hook func(lo, hi int, cliques int64, maxCliqueSize int)
+	oseq  *orderedSeq // ordered release on a hooked multi-worker run
 }
 
-// worker is one goroutine's engine plus, on a multi-worker run with a
-// visitor, its delivery buffer: an ordered chunk writer or an emit batcher.
+// worker is one goroutine's engine plus its multi-worker delivery state:
+// the chunk it is running on an ordered run, or its emit batcher on a
+// batched one.
 type worker struct {
 	e       *engine
-	writer  *orderedWriter
+	cur     *orderedChunk
 	batcher *emitBatcher
+}
+
+// buffer is a worker's emit target on an ordered run with a visitor: it
+// copies the clique into the running chunk (the engine reuses the slice).
+// It always reports true: a visitor stop propagates through the run's stop
+// latch when the sequencer later delivers the chunk.
+func (w *worker) buffer(c []int32) bool {
+	w.cur.lens = append(w.cur.lens, int32(len(c)))
+	w.cur.data = append(w.cur.data, c...)
+	return true
 }
 
 // drive runs plan and returns the query's Stats.
@@ -110,9 +119,12 @@ type worker struct {
 // one chunk. A plan with a chunk kernel may reorder the branches inside a
 // chunk, never across chunks.
 //
-// Delivery: one worker delivers straight to the visitor. Several workers
-// release ordered chunks when the caller asked for OrderedEmit or hooked a
-// visitor run, and flush per-worker batches otherwise.
+// Delivery follows from the worker count, the visitor and the hook. One
+// worker delivers straight to the visitor and reports each branch to the
+// hook. Several workers with a hook release their chunks through the
+// ordered sequencer, which reports them to the hook in schedule order and,
+// with a visitor, delivers their cliques first. Several workers with a
+// visitor and no hook flush per-worker batches of emitBatchSize cliques.
 //
 // The preprocessing residue is emitted first, on the first worker's engine
 // while it still delivers straight to the visitor, followed by the [0,0)
@@ -126,22 +138,25 @@ func (s *Session) drive(rc *runControl, opts Options, plan *branchPlan) *Stats {
 	if plan.rng.set {
 		lo, hi = plan.rng.lo, plan.rng.hi
 	}
-	d := &driver{plan: plan, rc: rc, hook: plan.prog.hook}
-	if plan.schedule != nil && (workers > 1 || plan.rng.set || plan.prog.hook != nil) {
+	d := &driver{plan: plan, rc: rc}
+	if plan.schedule != nil && (workers > 1 || plan.rng.set || plan.hook != nil) {
 		d.sched = plan.schedule()
 	}
-	chunk := opts.ParallelChunkSize
+	// Several workers claim guided chunks: ramping up from single branches
+	// at the head of the cost-ordered schedule, or decaying toward the tail
+	// of a basis without one. A lone worker claims its whole range at once,
+	// or one branch at a time when the hook must see every branch: a claim
+	// per branch added ~25 ns to each ~40 ns triangle-free edge branch
+	// (2^20-cycle, 2-vCPU Xeon).
+	fixed := 0
 	if workers == 1 {
-		// A lone worker claims one branch at a time only when a hook must
-		// see every branch: a claim per branch added ~25 ns to each ~40 ns
-		// triangle-free edge branch (2^20-cycle, 2-vCPU Xeon).
-		chunk = hi - lo
-		if plan.prog.hook != nil {
-			chunk = 1
+		fixed = hi - lo
+		if plan.hook != nil {
+			fixed = 1
 		}
 	}
-	d.queue = newWorkQueue(lo, hi, workers, chunk)
-	d.queue.rampUp = d.sched != nil && chunk <= 0
+	d.queue = newWorkQueue(lo, hi, workers, fixed)
+	d.queue.rampUp = workers > 1 && d.sched != nil
 
 	newWorker := func(st *Stats) *worker {
 		e := newEngine(plan.g, plan.red, opts, st, plan.visit, rc)
@@ -156,8 +171,8 @@ func (s *Session) drive(rc *runControl, opts Options, plan *branchPlan) *Stats {
 		if plan.residue != nil {
 			plan.residue(first.e)
 		}
-		if plan.prog.hook != nil && !rc.halted() {
-			plan.prog.hook(0, 0, stats.Cliques, stats.MaxCliqueSize)
+		if plan.hook != nil && !rc.halted() {
+			plan.hook(0, 0, stats.Cliques, stats.MaxCliqueSize)
 		}
 	}
 	if workers == 1 {
@@ -168,20 +183,9 @@ func (s *Session) drive(rc *runControl, opts Options, plan *branchPlan) *Stats {
 
 	var sink *emitSink
 	switch {
-	case plan.visit == nil:
-		if hook := d.hook; hook != nil {
-			// Workers report chunks concurrently; BranchDone promises one
-			// call at a time.
-			var mu sync.Mutex
-			d.hook = func(from, to int, cliques int64, maxCliqueSize int) {
-				mu.Lock()
-				defer mu.Unlock()
-				hook(from, to, cliques, maxCliqueSize)
-			}
-		}
-	case plan.prog.ordered || d.hook != nil:
-		d.oseq = newOrderedSeq(plan.visit, rc, d.hook, lo)
-	default:
+	case plan.hook != nil:
+		d.oseq = newOrderedSeq(plan.visit, rc, plan.hook, lo)
+	case plan.visit != nil:
 		sink = &emitSink{visit: plan.visit, rc: rc}
 	}
 	ws := []*worker{first}
@@ -191,11 +195,10 @@ func (s *Session) drive(rc *runControl, opts Options, plan *branchPlan) *Stats {
 	var wg sync.WaitGroup
 	for _, w := range ws {
 		switch {
-		case d.oseq != nil:
-			w.writer = &orderedWriter{}
-			w.e.emitFn = w.writer.add
+		case d.oseq != nil && plan.visit != nil:
+			w.e.emitFn = w.buffer
 		case sink != nil:
-			w.batcher = newEmitBatcher(sink, opts.EmitBatchSize)
+			w.batcher = newEmitBatcher(sink, emitBatchSize)
 			w.e.emitFn = w.batcher.add
 		}
 		wg.Add(1)
@@ -209,11 +212,11 @@ func (s *Session) drive(rc *runControl, opts Options, plan *branchPlan) *Stats {
 		stats.merge(w.e.stats)
 	}
 	// Workers count a clique when they find it; the ones a stop kept from
-	// being delivered come off again, so Cliques means "reported".
+	// being delivered come off again, so Cliques means "reported". A count
+	// reports what it found.
 	switch {
 	case d.oseq != nil:
-		d.oseq.abandon()
-		stats.Cliques -= d.oseq.droppedCount()
+		stats.Cliques -= d.oseq.abandon()
 		stats.EmitBatches = d.oseq.released.Load()
 	case sink != nil:
 		stats.Cliques -= sink.droppedCount()
@@ -224,7 +227,8 @@ func (s *Session) drive(rc *runControl, opts Options, plan *branchPlan) *Stats {
 }
 
 // work is one worker's loop: claim a chunk of branch positions, run it,
-// then hand it to the ordered sequencer or report it to the hook.
+// then hand it to the ordered sequencer or, on a lone worker, report it to
+// the hook.
 //
 //hbbmc:ctxpoll
 func (d *driver) work(w *worker) {
@@ -234,18 +238,22 @@ func (d *driver) work(w *worker) {
 			break
 		}
 		before := w.e.stats.Cliques
-		if w.writer != nil {
-			w.writer.cur = &orderedChunk{begin: begin, end: end}
+		if d.oseq != nil {
+			w.cur = &orderedChunk{begin: begin, end: end}
 		}
 		d.runChunk(w.e, begin, end)
+		cliques, maxSize := w.e.stats.Cliques-before, w.e.stats.MaxCliqueSize
 		switch {
 		case d.oseq != nil:
-			d.oseq.complete(w.writer.cur)
-		case d.hook != nil && !d.rc.stopped():
-			// The chunk's cliques reached the visitor already (one worker)
-			// or there is no visitor, so its counts are final. A stop may
-			// have cut the chunk short, so a stopped run claims nothing.
-			d.hook(begin, end, w.e.stats.Cliques-before, w.e.stats.MaxCliqueSize)
+			// The worker's running maximum covers only its own chunks, all
+			// at or below this one, so it claims no clique past the chunk.
+			w.cur.cliques, w.cur.max = cliques, maxSize
+			d.oseq.complete(w.cur)
+		case d.plan.hook != nil && !d.rc.stopped():
+			// The chunk's cliques reached the visitor already, or there is
+			// none, so its counts are final. A stop may have cut the chunk
+			// short, so a stopped run claims nothing.
+			d.plan.hook(begin, end, cliques, maxSize)
 		}
 	}
 	if w.batcher != nil {

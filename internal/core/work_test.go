@@ -136,7 +136,7 @@ func workOf(st *Stats) [3]int64 {
 // TestWorkCountersDeterministic checks that the work counters of a complete
 // run depend only on the query: enumerate, count, top_k and kclique_count
 // report the same counters at one and two workers, with and without a
-// visitor, under OrderedEmit and BranchDone, and summed over branch ranges
+// visitor, under ordered release and BranchDone, and summed over branch ranges
 // that partition the schedule. The configurations reach every counted scan:
 // the word kernel and the generic masked path, BK_Rcd's masked double scan,
 // the edge recursion of a deeper switch, and the vertex-oriented top level.
@@ -180,7 +180,7 @@ func TestWorkCountersDeterministic(t *testing.T) {
 			_, st, err = s.TopK(ctx, 5, QueryOptions{Workers: w})
 			check(fmt.Sprintf("top_k/w%d", w), st, err)
 		}
-		st, err := s.EnumerateWith(ctx, QueryOptions{Workers: 2, OrderedEmit: true}, visit)
+		st, err := s.EnumerateWith(ctx, QueryOptions{Workers: 2, BranchDone: func(int, int, int64, int) {}}, visit)
 		check("ordered", st, err)
 		done := func(lo, hi int, cliques int64, maxSize int) {}
 		st, err = s.EnumerateWith(ctx, QueryOptions{Workers: 2, BranchDone: done}, visit)

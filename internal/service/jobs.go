@@ -325,14 +325,12 @@ func (jm *jobManager) restore(j *Job) {
 // journalTerminal appends a journaled job's terminal record. A stop caused
 // by the server's own shutdown is deliberately not recorded: the job must
 // replay as interrupted so the restarted daemon resumes it.
-func (jm *jobManager) journalTerminal(j *Job) {
+func (jm *jobManager) journalTerminal(j *Job, state JobState, reason, errMsg string, stats *hbbmc.Stats) {
 	if jm.jnl == nil {
 		return
 	}
 	j.mu.Lock()
 	journaled := j.journaled
-	state, reason, errMsg := j.state, j.stopReason, j.errMsg
-	stats := j.stats
 	j.mu.Unlock()
 	if !journaled || reason == "server shutdown" {
 		return
@@ -389,11 +387,15 @@ func (jm *jobManager) list() []*Job {
 }
 
 // end is the one terminal transition, from queued or running. In order it
-// records the outcome, moves the gauges and the state's counter, journals
-// the terminal record, runs onTerminal, closes done and finally closes the
+// journals the terminal record, records the outcome, moves the gauges and
+// the state's counter, runs onTerminal, closes done and finally closes the
 // clique pipe — after the state is recorded, so a reader that drains the
-// pipe observes the final state and stats.
+// pipe observes the final state and stats. The record is durable before
+// any reader sees the state: Shutdown closes the journal once every job
+// reads terminal, so a record appended after that point would be lost and
+// the finished job would re-run after a restart.
 func (jm *jobManager) end(j *Job, state JobState, reason, msg string, stats *hbbmc.Stats) {
+	jm.journalTerminal(j, state, reason, msg, stats)
 	j.mu.Lock()
 	wasRunning := j.state == StateRunning
 	j.state = state
@@ -415,7 +417,6 @@ func (jm *jobManager) end(j *Job, state JobState, reason, msg string, stats *hbb
 	default:
 		jm.m.jobsFailed.Add(1)
 	}
-	jm.journalTerminal(j)
 	if jm.onTerminal != nil {
 		jm.onTerminal(j)
 	}

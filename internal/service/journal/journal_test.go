@@ -65,6 +65,38 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTerminalSurvivesLateRecords: a daemon that lost its listener but not
+// its process can append a job's running record or a checkpoint after
+// another daemon journaled the job's terminal state. Replay must keep the
+// terminal state, reason and stats, or a restart would resume a finished
+// job.
+func TestTerminalSurvivesLateRecords(t *testing.T) {
+	dir := t.TempDir()
+	j, _ := openT(t, dir, Options{})
+	stats := json.RawMessage(`{"cliques":3}`)
+	for _, err := range []error{
+		j.AppendSubmit("j000001", json.RawMessage(`{"type":"count","dataset":"g"}`)),
+		j.AppendRunning("j000001", "crc32c:deadbeef", "skey", 128),
+		j.AppendTerminal("j000001", "stopped", "cancelled", "", stats),
+		j.AppendRunning("j000001", "crc32c:deadbeef", "skey", 128),
+		j.AppendCkpt("j000001", 64, 1000, 7),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Close()
+
+	_, rep := openT(t, dir, Options{})
+	j1 := rep.Jobs["j000001"]
+	if j1 == nil || !j1.Terminal() || j1.State != "stopped" || j1.Reason != "cancelled" || string(j1.Stats) != string(stats) {
+		t.Fatalf("j000001 replayed as %+v, want stopped (cancelled) with stats %s", j1, stats)
+	}
+	if j1.Watermark != 0 {
+		t.Fatalf("late checkpoint moved the terminal job's watermark to %d", j1.Watermark)
+	}
+}
+
 func TestCorruptTailTruncation(t *testing.T) {
 	dir := t.TempDir()
 	j, _ := openT(t, dir, Options{})

@@ -150,12 +150,20 @@ func (r *Replay) apply(rec *Record) error {
 		if !ok {
 			return fmt.Errorf("journal: running record for unknown job %s", rec.ID)
 		}
+		if j.Terminal() {
+			// A terminal state is final: a late record from a run that
+			// another daemon already concluded must not revive the job.
+			return nil
+		}
 		j.State = "running"
 		j.CRC, j.SessionKey, j.Branches = rec.CRC, rec.SessionKey, rec.Branches
 	case recCkpt:
 		j, ok := r.Jobs[rec.ID]
 		if !ok {
 			return fmt.Errorf("journal: checkpoint for unknown job %s", rec.ID)
+		}
+		if j.Terminal() {
+			return nil
 		}
 		j.Ckpts[rec.W] = Ckpt{Cliques: rec.Cliques, MaxSize: rec.MaxSize}
 		if rec.W > j.Watermark {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strconv"
 	"testing"
@@ -552,6 +553,47 @@ func TestDeleteDatasetBlockedByJournaledJob(t *testing.T) {
 	c.waitReady()
 	if resp, data := c.do("DELETE", "/v1/datasets/er", nil); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("dataset resurrected after journaled removal: %d %s", resp.StatusCode, data)
+	}
+}
+
+// TestTerminalRecordDurableBeforeVisible: a job reads as terminal only once
+// its terminal record is durable. Shutdown closes the journal when every
+// job reads terminal, so a record still being appended then is lost and
+// the finished job re-runs after a restart. A slowed terminal append makes
+// the window wide: the journal is copied as soon as a GET reads the job as
+// done, and the copy's replay must hold the terminal record.
+func TestTerminalRecordDurableBeforeVisible(t *testing.T) {
+	g := hbbmc.GenerateER(120, 500, 31)
+	gpath := saveGraph(t, g)
+	dir := t.TempDir()
+	e := openJournaled(t, service.Config{JournalDir: dir})
+	defer e.stop()
+	e.waitReady()
+	e.registerPath("er", gpath)
+
+	chaos.Reset()
+	t.Cleanup(chaos.Reset)
+	if err := chaos.Arm("journal.terminal", "delay:300ms"); err != nil {
+		t.Fatal(err)
+	}
+	v := e.startJob(map[string]any{"dataset": "er", "mode": "count"})
+	waitState(t, e.testEnv, v.ID, service.StateDone)
+
+	image := t.TempDir()
+	if err := os.CopyFS(image, os.DirFS(dir)); err != nil {
+		t.Fatal(err)
+	}
+	jnl, rep, err := journal.Open(image, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jnl.Close()
+	jr := rep.Jobs[v.ID]
+	if jr == nil {
+		t.Fatalf("journal image lost job %s", v.ID)
+	}
+	if jr.State != string(service.StateDone) {
+		t.Fatalf("journal image taken once the job read done replays it as %s, want done", jr.State)
 	}
 }
 

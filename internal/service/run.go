@@ -442,13 +442,15 @@ func stopReason(ctx context.Context, j *Job, runErr error) string {
 	return "cancelled"
 }
 
-// enumerateHook builds the BranchDone hook of a journaled enumerate job.
-// It runs on the core's single releasing goroutine, strictly after the
-// cliques of the unit it reports reached the visitor (ordered emission), so
-// it can append a durable checkpoint AND put the matching {"ckpt":W}
-// marker into the same pipe with nothing out of order on either side.
-// base seeds the cumulative totals when the run resumes a durable prefix.
-func (s *Server) enumerateHook(j *Job, base journal.Ckpt) func(lo, hi int, cliques int64, max int) {
+// checkpointHook builds the BranchDone hook of a journaled enumerate or
+// count job. The core reports units in ascending schedule order, one call
+// at a time and strictly after the unit's cliques reached the visitor, so
+// every call extends a contiguous prefix: the hook can append a durable
+// checkpoint and, for a job with a clique pipe, put the matching
+// {"ckpt":W} marker into the same pipe with nothing out of order on either
+// side. base seeds the cumulative totals when the run resumes a durable
+// prefix.
+func (s *Server) checkpointHook(j *Job, base journal.Ckpt) func(lo, hi int, cliques int64, max int) {
 	cum := base.Cliques
 	maxSize := base.MaxSize
 	last := time.Now()
@@ -465,58 +467,15 @@ func (s *Server) enumerateHook(j *Job, base journal.Ckpt) func(lo, hi int, cliqu
 			return
 		}
 		if s.jnl.AppendCkpt(j.ID, hi, cum, maxSize) != nil {
-			return // wedged or failing journal: keep enumerating, stop claiming
+			return // wedged or failing journal: keep running, stop claiming
 		}
 		// The span covers the branch interval this checkpoint made durable,
 		// timed from the previous durable point.
 		j.trace.RecordRange("checkpoint", prevW, hi, last, time.Since(last))
 		prevW = hi
 		last = time.Now()
-		j.cliques.mark(hi)
-	}
-}
-
-// countHook builds the BranchDone hook of a journaled count job. Count runs
-// are unordered — hook calls arrive out of schedule order from the workers
-// (serialized, but interleaved) — so completed intervals are merged into a
-// contiguous-prefix watermark and only the watermark is checkpointed.
-func (s *Server) countHook(j *Job, base journal.Ckpt, lo int) func(lo, hi int, cliques int64, max int) {
-	type interval struct {
-		hi      int
-		cliques int64
-	}
-	pending := make(map[int]interval)
-	w := lo // contiguous watermark: residue + [lo, w) are accounted
-	prevW := lo
-	cum := base.Cliques
-	maxSize := base.MaxSize
-	last := time.Now()
-	intervalMin := s.cfg.CheckpointInterval
-	return func(clo, chi int, cliques int64, max int) {
-		if max > maxSize {
-			maxSize = max
-		}
-		if clo == 0 && chi == 0 {
-			cum += cliques // the residue call; always first when lo == 0
-		} else {
-			pending[clo] = interval{hi: chi, cliques: cliques}
-		}
-		for {
-			iv, ok := pending[w]
-			if !ok {
-				break
-			}
-			delete(pending, w)
-			cum += iv.cliques
-			w = iv.hi
-		}
-		if w < 1 || time.Since(last) < intervalMin {
-			return
-		}
-		if s.jnl.AppendCkpt(j.ID, w, cum, maxSize) == nil {
-			j.trace.RecordRange("checkpoint", prevW, w, last, time.Since(last))
-			prevW = w
-			last = time.Now()
+		if j.cliques != nil {
+			j.cliques.mark(hi)
 		}
 	}
 }
@@ -536,12 +495,8 @@ func (s *Server) runJob(ctx context.Context, j *Job, sess *hbbmc.Session) {
 		// branch count a restart must reproduce before skipping any branch.
 		_ = s.jnl.AppendRunning(j.ID, distrib.FormatCRC(sess.GraphFingerprint()),
 			j.Opts.SessionKey(), sess.NumTopBranches())
-		switch j.Mode {
-		case "enumerate":
-			q.BranchDone = s.enumerateHook(j, base)
-			q.OrderedEmit = true
-		case "count":
-			q.BranchDone = s.countHook(j, base, q.BranchLo)
+		if j.Mode == "enumerate" || j.Mode == "count" {
+			q.BranchDone = s.checkpointHook(j, base)
 		}
 	}
 	var stats *hbbmc.Stats

@@ -108,7 +108,7 @@ func TestSessionCancelMidRun(t *testing.T) {
 	for _, algo := range orderedAlgorithms {
 		for _, workers := range []int{1, 4} {
 			t.Run(algo.String()+"/workers="+string(rune('0'+workers)), func(t *testing.T) {
-				opts := hbbmc.Options{Algorithm: algo, ET: 3, GR: true, Workers: workers, EmitBatchSize: 1}
+				opts := hbbmc.Options{Algorithm: algo, ET: 3, GR: true, Workers: workers}
 				sess, err := hbbmc.NewSession(g, opts)
 				if err != nil {
 					t.Fatal(err)
@@ -215,7 +215,6 @@ func TestVisitorStop(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		opts := hbbmc.DefaultOptions()
 		opts.Workers = workers
-		opts.EmitBatchSize = 1
 		sess, err := hbbmc.NewSession(g, opts)
 		if err != nil {
 			t.Fatal(err)
